@@ -6,15 +6,20 @@ query-serving mixes over the Table-III probe profiles:
 
 * **single** — one full-range query per probe address, repeated;
 * **batch**  — all probes answered in one ``answer_batch_query``;
-* **range**  — sliding sub-range queries for the heavy probes.
+* **range**  — sliding sub-range queries for the heavy probes.  The
+  prover files only whole-span multiproofs (DESIGN.md §8), so every
+  round of this mix times a cold clipped descent with warm block
+  resolutions; a *served* repeat of the same ``(address, first, last)``
+  is a response-cache hit in ``FullNode`` and never reaches the prover,
+  which is why the mix is not gated.
 
 Each mix is timed twice: once through :mod:`repro.query.naive` (the
 pre-fast-path algorithms, preserved verbatim) and once through the fast
 prover.  Before any timing, the harness asserts the two paths produce
 **byte-identical** serialized answers — a speedup over a wrong answer is
 worthless.  Results land in ``BENCH_throughput.json`` at the repo root;
-EXPERIMENTS.md §"Prover performance" documents the schema.  Future PRs
-must not regress the recorded speedups.
+EXPERIMENTS.md §"Prover performance" documents the schema.  The
+gated figures are the **single** Addr5/Addr6 speedups (see below).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_throughput.py``
 (``LVQ_BENCH_BLOCKS=64`` for the CI smoke run; the ≥5× Addr5/Addr6

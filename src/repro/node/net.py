@@ -105,6 +105,9 @@ class NetServerStats:
         "pushes",
         "subscriptions_accepted",
         "subscribers_reaped",
+        "frames_compressed",
+        "bytes_before_compression",
+        "bytes_after_compression",
     )
 
     def __init__(self) -> None:
@@ -122,6 +125,11 @@ class NetServerStats:
         self.pushes = 0
         self.subscriptions_accepted = 0
         self.subscribers_reaped = 0
+        #: Responses the mirrored codec actually shrank, and their sizes
+        #: either side of it: after / before is the achieved ratio.
+        self.frames_compressed = 0
+        self.bytes_before_compression = 0
+        self.bytes_after_compression = 0
 
     def as_dict(self) -> "dict[str, int]":
         return {name: getattr(self, name) for name in self.__slots__}
@@ -682,6 +690,7 @@ class NetServer:
                 f"internal server error: {type(error).__name__}",
             ).serialize()
         if codec is not None:
+            plain_size = len(response)
             try:
                 response = compress_frame(
                     response, codec, max_frame_bytes=self.max_frame_bytes
@@ -691,6 +700,11 @@ class NetServer:
                 response = _messages.ErrorResponse.from_exception(
                     error
                 ).serialize()
+            else:
+                if len(response) < plain_size:
+                    self.stats.frames_compressed += 1
+                    self.stats.bytes_before_compression += plain_size
+                    self.stats.bytes_after_compression += len(response)
         if len(response) > self.max_frame_bytes:
             # Symmetric send-side cap: never put a frame on the wire the
             # peer is required to reject.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import zlib
 from typing import Optional
 
+from repro.crypto.encoding import ByteReader, write_varint
 from repro.errors import EncodingError, TransportError
 
 try:  # pragma: no cover - exercised only where the library exists
@@ -232,15 +233,6 @@ class InProcessTransport:
 # per-frame compression (PROTOCOL.md §8.3)
 
 
-def _write_frame_varint(value: int) -> bytes:
-    # Local import: encoding depends only on errors, but keeping the
-    # transport importable without the crypto package is not worth a
-    # second varint implementation.
-    from repro.crypto.encoding import write_varint
-
-    return write_varint(value)
-
-
 def compress_frame(
     payload: bytes,
     codec: str = "zlib",
@@ -271,8 +263,13 @@ def compress_frame(
             raise EncodingError("zstd codec requested but library unavailable")
         tag, body = FRAME_ZSTD, _zstd.ZstdCompressor().compress(payload)
     else:
-        tag, body = FRAME_ZLIB, zlib.compress(payload, 6)
-    frame = bytes([tag]) + _write_frame_varint(len(payload)) + body
+        # Entropy coding only: a frame is digests and near-half-fill
+        # merged filters, and aggregation already removed every repeated
+        # blob, so LZ77 match search took 8x the time to find nothing
+        # (DESIGN.md §10).  Still an ordinary RFC 1950 stream.
+        deflate = zlib.compressobj(strategy=zlib.Z_HUFFMAN_ONLY)
+        tag, body = FRAME_ZLIB, deflate.compress(payload) + deflate.flush()
+    frame = bytes([tag]) + write_varint(len(payload)) + body
     if len(frame) >= len(payload):
         return payload
     return frame
@@ -296,8 +293,6 @@ def decompress_frame(
                 f"{max_frame_bytes}-byte limit"
             )
         return frame
-    from repro.crypto.encoding import ByteReader
-
     reader = ByteReader(frame)
     tag = reader.bytes(1)[0]
     raw_len = reader.varint()

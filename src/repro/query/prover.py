@@ -123,7 +123,13 @@ def _answer_with_segments(
                 failed_heights=failed,
             )
             cached = (multiproof, failed)
-            system.segment_cache[seg_key] = cached
+            # File only the whole-span proof.  A clipped one can be hit
+            # again only by the same (address, first, last) on the same
+            # span, which the response cache in front already absorbs;
+            # filing it grows the memo by one never-read entry per cold
+            # range query (DESIGN.md §8).
+            if clipped == (start, end):
+                system.segment_cache[seg_key] = cached
         multiproof, failed = cached
         resolutions: Dict[int, object] = {
             height: _resolve_block(system, height, address)

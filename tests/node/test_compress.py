@@ -9,10 +9,13 @@ machinery: a chaos spot-run where corrupt/truncate faults land on the
 plain-transport matrix.
 """
 
+import hashlib
 import random
+import zlib
 
 import pytest
 
+from repro.crypto.encoding import ByteReader, write_varint
 from repro.errors import EncodingError, ReproError
 from repro.node.faults import (
     FaultKind,
@@ -22,6 +25,7 @@ from repro.node.faults import (
 )
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
+from repro.node.messages import AggregatedBatchRequest
 from repro.node.session import Peer, QuerySession, RetryPolicy
 from repro.node.transport import (
     FRAME_ZLIB,
@@ -34,6 +38,9 @@ from repro.node.transport import (
     decompress_frame,
 )
 from repro.query.adversary import ALL_ATTACKS, MaliciousFullNode
+from repro.query.builder import build_system
+from repro.query.config import SystemConfig
+from repro.workload.generator import WorkloadParams, generate_workload
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +108,6 @@ def test_corrupt_compressed_frame_is_typed():
 
 
 def test_declared_length_must_match():
-    import zlib
-
-    from repro.crypto.encoding import write_varint
-
     body = zlib.compress(b"ab" * 4096)
     # Lie about the raw length: both shorter and longer must be refused.
     for lie in (1, 8191, 8193, 1 << 20):
@@ -117,6 +120,61 @@ def test_trailing_garbage_is_refused():
     frame = compress_frame(b"ab" * 4096)
     with pytest.raises(EncodingError):
         decompress_frame(frame + b"\x00\x01")
+
+
+#: ``compress_frame`` output of the level-6, default-strategy encoder
+#: this codec shipped with, for ``_LEGACY_PAYLOAD``: its stream carries
+#: LZ77 back-references, which today's encoder never emits.
+_LEGACY_PAYLOAD = (
+    b"".join(hashlib.sha256(bytes([i])).digest() for i in range(4)) * 2
+    + bytes(96)
+)
+_LEGACY_FRAME = bytes.fromhex(
+    "10fd6001789ccb33e19ef37f73d58c394b5d9eedaee0d2a998206bbfd9dca2ac"
+    "5570319bf8fa05b2de5f85f44d5c438e5adfd3dbdd7369fbe38b095cd70c0fb7"
+    "2ebd7ee6914d79abebacdb07b79c64f8ffa4373c3a76e9310b1646d56fb11bfe"
+    "d9a9787a97bd9a91127eb38dc3ff2dc7ce8af5beb59259256e2bb22318e62567"
+    "27ca6e4c12dc16356bed7fcda379036c3f038d0100ab5279ab"
+)
+
+
+def test_frames_from_the_level6_encoder_still_decode():
+    assert decompress_frame(_LEGACY_FRAME) == _LEGACY_PAYLOAD
+
+
+def test_frame_body_is_a_plain_rfc1950_stream():
+    """The deflate strategy is the encoder's business, not the wire's:
+    any zlib decoder inflates the body with no knowledge of it."""
+    frame = compress_frame(_LEGACY_PAYLOAD)
+    reader = ByteReader(frame)
+    assert reader.bytes(1)[0] == FRAME_ZLIB
+    assert reader.varint() == len(_LEGACY_PAYLOAD)
+    assert zlib.decompress(reader.bytes(reader.remaining)) == _LEGACY_PAYLOAD
+
+
+def test_entropy_only_frame_is_no_larger_on_an_lvq_batch():
+    """At the fig12 ``lvq`` geometry (the e2e benchmark's chain, an
+    eighth as long) an aggregated batch is digests and dense endpoint
+    filters, and LZ77 matching buys nothing over the Huffman stage."""
+    workload = generate_workload(
+        WorkloadParams(num_blocks=128, txs_per_block=40, seed=42)
+    )
+    system = build_system(
+        workload.bodies,
+        SystemConfig.lvq(bf_bytes=1408, segment_len=128, num_hashes=3),
+    )
+    payload = FullNode(system).handle_batch_query(
+        AggregatedBatchRequest(list(workload.probe_addresses.values())).serialize()
+    )
+    level6 = (
+        bytes([FRAME_ZLIB])
+        + write_varint(len(payload))
+        + zlib.compress(payload, 6)
+    )
+    assert decompress_frame(level6) == payload
+    frame = compress_frame(payload)
+    assert decompress_frame(frame) == payload
+    assert len(frame) <= len(level6)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ reserved for proofs failing *local* checks).
 import socket
 import threading
 import time
+import zlib
 
 import pytest
 
+from repro.crypto.encoding import write_varint
 from repro.errors import (
     ConnectionLimitError,
     EncodingError,
@@ -137,6 +139,29 @@ def test_compressed_request_gets_mirrored_codec(loop_thread, probe_addresses):
 
         plain = _raw_exchange(server.address, request)
         assert plain[0] != FRAME_ZLIB, "plain request ⇒ plain response"
+
+
+def test_achieved_compression_is_readable_from_metrics(loop_thread):
+    from repro.node.metrics import parse_metrics, render_metrics
+    from repro.node.transport import compress_frame
+
+    stub = _StubNode()
+    with NetServer(stub, loop_thread=loop_thread) as server:
+        request = QueryRequest("A" * 512).serialize()
+        compressed = compress_frame(request, "zlib", min_size=0)
+        wire = _raw_exchange(server.address, compressed)
+        # Neither counts: a plain request is answered plain, and a pong
+        # is too small for the mirrored codec to shrink.
+        _raw_exchange(server.address, request)
+        ping = PingRequest(7).serialize()
+        _raw_exchange(
+            server.address,
+            bytes([FRAME_ZLIB]) + write_varint(len(ping)) + zlib.compress(ping),
+        )
+        scrape = parse_metrics(render_metrics(net=server))
+    assert scrape["lvq_net_frames_compressed_total"] == 1
+    assert scrape["lvq_net_bytes_before_compression_total"] == 2001
+    assert scrape["lvq_net_bytes_after_compression_total"] == len(wire)
 
 
 def test_ping_pong_inline(served_lvq, lvq_system):

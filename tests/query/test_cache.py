@@ -22,6 +22,7 @@ import pytest
 from repro.errors import QueryError
 from repro.node.full_node import FullNode
 from repro.node.messages import QueryRequest, QueryResponse
+from repro.query.batch import answer_batch_query
 from repro.query.builder import build_system
 from repro.query.cache import (
     LRUCache,
@@ -381,3 +382,52 @@ class TestAppendInvalidation:
         ).result
         assert before.tip_height == 16
         assert after.tip_height == 17
+
+
+class TestSegmentMemoAdmission:
+    """Only whole-span multiproofs are filed (DESIGN.md §8): a clipped
+    one can be hit again only by the very ``(address, first, last)`` the
+    response cache in front already absorbs, so filing it would grow
+    the memo by one never-read entry per cold range query."""
+
+    def _warmed(self, serving_setup):
+        workload, config, _shared = serving_setup
+        system = build_system(workload.bodies[:17], config)  # spans 1-8, 9-16
+        addresses = list(workload.probe_addresses.values())
+        for address in addresses:
+            answer_query(system, address)
+        return system, addresses
+
+    def test_distinct_clipped_ranges_and_batch_windows_file_nothing(
+        self, serving_setup
+    ):
+        system, addresses = self._warmed(serving_setup)
+        keys = set(system.segment_cache.keys())
+        assert len(keys) == 2 * len(addresses)
+        # Every (first, last) below cuts both spans short of an edge.
+        ranges = [(first, last) for first in range(2, 8) for last in range(10, 16)]
+        for address in addresses:
+            for first, last in ranges:
+                answer_query(system, address, first, last)
+        for first in range(2, 13):
+            answer_batch_query(system, addresses, first, first + 3)  # quarter chain
+        assert set(system.segment_cache.keys()) == keys
+
+    def test_whole_span_inside_a_range_is_still_filed_and_hit(
+        self, serving_setup
+    ):
+        workload, config, _shared = serving_setup
+        system = build_system(workload.bodies[:17], config)
+        address = _onchain_address(workload)
+        answer_query(system, address, 5, 16)  # 1-8 clipped, 9-16 whole
+        assert [key[2:4] for key in system.segment_cache.keys()] == [(9, 16)]
+        hits = system.caches.stats()["segments"]["hits"]
+        answer_query(system, address, 3, 16)  # a different range, same span
+        answer_query(system, address)
+        assert system.caches.stats()["segments"]["hits"] == hits + 2
+
+    def test_reorg_evicts_filed_spans_above_the_fork(self, serving_setup):
+        system, addresses = self._warmed(serving_setup)
+        evicted = system.caches.on_reorg(12)
+        assert evicted["segments"] == len(addresses)
+        assert {key[2:4] for key in system.segment_cache.keys()} == {(1, 8)}
