@@ -15,8 +15,8 @@ same ``stats()`` dictionaries the test suite asserts on, never takes a
 lock the serving path contends on beyond those snapshots, and a scrape
 can never make the server refuse, shed, or answer differently.
 
-:func:`parse_metrics` is the inverse used by the bench harness and the
-tests — parse a scrape back into ``{"name{labels}": value}``.
+:func:`parse_metrics` is the inverse the tests read a scrape with —
+it parses one back into ``{"name{labels}": value}``.
 """
 
 from __future__ import annotations
@@ -94,14 +94,12 @@ def render_metrics(
     server=None,
     net=None,
     subscriptions=None,
-    extra: "Optional[Dict[str, float]]" = None,
 ) -> str:
     """Render one scrape for any subset of the serving stack.
 
     ``server`` is a :class:`~repro.node.server.QueryServer`, ``net`` a
     :class:`~repro.node.net.NetServer`, ``subscriptions`` a
-    :class:`~repro.node.subscribe.SubscriptionRegistry`; ``extra`` adds
-    flat caller-defined gauges (bench instrumentation).
+    :class:`~repro.node.subscribe.SubscriptionRegistry`.
     """
     lines = _Lines()
     if server is not None:
@@ -193,18 +191,15 @@ def render_metrics(
             kind = "gauge" if counter == "active" else "counter"
             lines.add(f"subscriptions_{counter}", value, kind=kind,
                       help_text=f"Subscription registry counter: {counter}.")
-    if extra:
-        for name, value in extra.items():
-            lines.add(name, value, help_text="Caller-supplied gauge.")
     return lines.text()
 
 
 def parse_metrics(text: str) -> "Dict[str, float]":
     """Parse an exposition scrape into ``{"name{labels}": value}``.
 
-    The inverse of :func:`render_metrics` for the bench harness and the
-    tests: comments are skipped, the label block (if any) is kept
-    verbatim in the key, and values parse as floats.
+    The inverse of :func:`render_metrics` for the tests: comments are
+    skipped, the label block (if any) is kept verbatim in the key, and
+    values parse as floats.
     """
     parsed: "Dict[str, float]" = {}
     for line in text.splitlines():
@@ -234,13 +229,11 @@ class MetricsServer:
         server=None,
         net=None,
         subscriptions=None,
-        extra: "Optional[Dict[str, float]]" = None,
     ) -> None:
         self._sources = {
             "server": server,
             "net": net,
             "subscriptions": subscriptions,
-            "extra": extra,
         }
         self._host = host
         self._port = port

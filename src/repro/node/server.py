@@ -36,6 +36,7 @@ so a transport can hand every inbound frame to one entry point.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -73,11 +74,12 @@ class _PendingRequest:
 
 
 def _percentile(sorted_values: Sequence[float], quantile: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
+    """Nearest-rank percentile (the value at rank ``ceil(q * n)``) of an
+    already-sorted sample; 0.0 for an empty one."""
     if not sorted_values:
         return 0.0
-    rank = round(quantile * (len(sorted_values) - 1))
-    return sorted_values[rank]
+    rank = max(1, math.ceil(quantile * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 def _latency_summary(samples: Sequence[float]) -> "dict[str, float]":

@@ -25,7 +25,7 @@ from repro.query.cache import (
     SingleFlight,
 )
 from repro.query.config import SystemConfig, SystemKind, bf_commitment
-from repro.query.builder import BuiltSystem, build_system, build_system_parallel
+from repro.query.builder import BuiltSystem, build_system
 from repro.query.fragments import (
     BlockResolution,
     ExistenceResolution,
@@ -55,7 +55,6 @@ __all__ = [
     "bf_commitment",
     "BuiltSystem",
     "build_system",
-    "build_system_parallel",
     "LRUCache",
     "QueryCaches",
     "ResponseCache",

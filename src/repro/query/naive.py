@@ -1,4 +1,4 @@
-"""The pre-fast-path reference prover (the benchmark's oracle).
+"""The pre-fast-path reference prover (the tests' oracle).
 
 This module preserves, verbatim, the original O(chain) proof-generation
 algorithms that :mod:`repro.query.prover` used before the query-serving
@@ -13,11 +13,11 @@ fast path landed:
 * nothing is memoized across queries.
 
 It exists so the fast path has a trustworthy yardstick: the equivalence
-tests and ``benchmarks/bench_throughput.py`` assert that
+tests (``tests/query/test_fastpath.py``) assert that
 :func:`answer_query_naive` and :func:`repro.query.prover.answer_query`
-produce **byte-identical** serialized results on every system kind, and
-the benchmark reports the speedup between them.  Do not "optimize" this
-module — its slowness is its purpose.
+produce **byte-identical** serialized results on every system kind.  Do
+not "optimize" this module — being the unoptimized original is its
+purpose.
 """
 
 from __future__ import annotations

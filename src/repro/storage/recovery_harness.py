@@ -25,9 +25,9 @@ states tells the harness where to resume: the schedule's operations are
 functions of the current chain state alone, so any index with an equal
 state replays to the same final state.
 
-Run directly for the CI smoke job::
+Run directly, as the CI ``recovery`` job does::
 
-    python -m repro.storage.recovery_harness --blocks 6 --txs 2 --step 97
+    python -m repro.storage.recovery_harness --blocks 5 --txs 2 --step 7
 """
 
 from __future__ import annotations

@@ -442,10 +442,6 @@ class TestMetrics:
         assert "lvq_queue_depth" in parsed
         assert metrics.scrapes == 1
 
-    def test_extra_gauges_and_sources_compose(self, system):
-        text = render_metrics(extra={"bench_phase": 2.0})
-        assert parse_metrics(text)["lvq_bench_phase"] == 2.0
-
 
 class TestOverloadNeverQuarantines:
     """Satellite regression: overload is traffic, not malice."""

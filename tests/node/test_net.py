@@ -293,6 +293,44 @@ def test_connection_gate_rejects_with_typed_frame(lvq_system, loop_thread):
         assert server.stats.connections_rejected >= 1
 
 
+def test_many_held_connections_are_all_served(
+    lvq_system, loop_thread, probe_addresses
+):
+    """128 connections held open at once, then a ping and a query on
+    every one: each is served the in-process bytes, none is refused."""
+    held = 128
+    full_node = FullNode(lvq_system)
+    expected = {
+        address: full_node.handle_query(QueryRequest(address).serialize())
+        for address in probe_addresses.values()
+    }
+    addresses = list(expected)
+    server = NetServer(
+        full_node, max_connections=held, loop_thread=loop_thread
+    )
+    connections = []
+    with server:
+        try:
+            for _ in range(held):
+                connections.append(ClientConnection(server.address))
+            for index, connection in enumerate(connections):
+                pong = PongResponse.deserialize(
+                    connection.request(PingRequest(index).serialize(), 10.0)
+                )
+                assert pong.nonce == index
+                address = addresses[index % len(addresses)]
+                response = connection.request(
+                    QueryRequest(address).serialize(), 10.0
+                )
+                assert response == expected[address]
+        finally:
+            for connection in connections:
+                connection.close()
+        assert server.stats.connections_accepted == held
+        assert server.stats.connections_rejected == 0
+        assert server.stats.pings == held
+
+
 def test_idle_connections_are_reaped(lvq_system, loop_thread):
     server = NetServer(
         FullNode(lvq_system), idle_timeout=0.15, loop_thread=loop_thread

@@ -23,7 +23,7 @@ Three escalating layers:
   accepted-but-unverified), and clients must recover after the restart.
 
 A stride of the matrix runs by default to keep tier-1 fast; set
-``LVQ_NET_CHAOS_FULL=1`` (the CI network-smoke job does) for all
+``LVQ_NET_CHAOS_FULL=1`` (the CI chaos-full job does) for all
 scenarios.
 """
 

@@ -25,7 +25,7 @@ from repro.node.messages import (
     QueryRequest,
     QueryResponse,
 )
-from repro.node.server import QueryServer
+from repro.node.server import QueryServer, _percentile
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.verifier import verify_result
@@ -251,6 +251,14 @@ class TestLifecycle:
         assert "queue_wait" in stats and "service" in stats
         assert "responses" in stats["caches"]
         assert "segments" in stats["caches"]
+
+    def test_percentile_is_nearest_rank(self):
+        # rank ceil(q * n), as benchmarks/e2e/stats.percentile: the p50
+        # of four samples is the second, not a rounded interpolation.
+        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.99) == 4.0
+        assert _percentile([7.0], 0.50) == 7.0
+        assert _percentile([], 0.50) == 0.0
 
 
 class TestConcurrentServingStress:

@@ -47,6 +47,7 @@ from repro.node.subscribe import (
 )
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
+from repro.wallet import Wallet
 from repro.workload.generator import WorkloadParams, generate_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
@@ -147,6 +148,64 @@ def test_pushed_updates_match_the_honest_answer(loop_thread):
             assert session.stats.updates_verified == 4
             assert session.stats.updates_rejected == 0
     finally:
+        server.close()
+
+
+def test_many_watchers_all_verify_every_push_and_converge(loop_thread):
+    """24 watchers in two watch-set groups over 8 live appends: every
+    session verifies all 8 pushes, rejects none and reaches the tip, and
+    a wallet folding one stream per group equals the honest pull."""
+    watchers, appends = 24, 8
+    workload, config, system = _build(num_blocks=16, extra=appends, seed=2020)
+    node, registry, server = _serve(system, loop_thread)
+    probes = list(workload.probe_addresses.values())
+    groups = [probes[:3], probes[3:6]]
+    sessions = []
+    try:
+        for index in range(watchers):
+            light = LightNode(system.headers(), config)
+            sessions.append(
+                SubscriptionSession(
+                    light, server.address, groups[index % 2], keepalive=5.0
+                ).start()
+            )
+        assert all(session.wait_subscribed(30.0) for session in sessions)
+        # Verified baselines at the pre-append tip, one per group.
+        wallets = [
+            Wallet(LightNode(system.headers(), config), group)
+            for group in groups
+        ]
+        for wallet in wallets:
+            wallet.refresh(node)
+        for _ in range(appends):
+            node.extend_chain([workload.bodies[system.tip_height + 1]])
+        streams = [
+            _collect(
+                session,
+                lambda evs: sum(isinstance(e, WatchUpdate) for e in evs)
+                >= appends,
+                timeout=60.0,
+            )
+            for session in sessions
+        ]
+        for session in sessions:
+            assert session.stats.updates_verified == appends
+            assert session.stats.updates_rejected == 0
+            assert session.light.tip_height == system.tip_height
+        for wallet, events in zip(wallets, streams):
+            for event in events:
+                wallet.apply_event(event)
+            honest = Wallet(
+                LightNode(system.headers(), config), wallet.addresses
+            )
+            honest.refresh(node)
+            for address in wallet.addresses:
+                assert [
+                    (h, tx.txid()) for h, tx in wallet.history(address)
+                ] == [(h, tx.txid()) for h, tx in honest.history(address)]
+    finally:
+        for session in sessions:
+            session.stop()
         server.close()
 
 

@@ -11,13 +11,17 @@ trailing garbage, arbitrary bit flips — surfaces as a typed
 import pytest
 
 from repro.errors import EncodingError, ProofError, ReproError
+from repro.node.transport import compress_frame
 from repro.query.aggregate import (
     batch_of_result,
     decode_aggregated_batch,
     encode_aggregated_batch,
 )
 from repro.query.batch import answer_batch_query, verify_batch_result
+from repro.query.builder import build_system
+from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
+from repro.workload.generator import WorkloadParams, generate_workload
 
 
 def _probe_batch(system, probe_addresses):
@@ -179,3 +183,38 @@ def test_tampered_blob_table_fails_verification(lvq_system, probe_addresses):
             addresses,
             expected_range,
         )
+
+
+_FIG12_BLOCKS = 64
+
+
+@pytest.fixture(scope="module")
+def fig12_workload():
+    return generate_workload(
+        WorkloadParams(num_blocks=_FIG12_BLOCKS, txs_per_block=40, seed=2020)
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SystemConfig.strawman(bf_bytes=512, num_hashes=3),
+        SystemConfig.lvq_no_bmt(bf_bytes=512, num_hashes=3),
+        SystemConfig.lvq_no_smt(
+            bf_bytes=1408, segment_len=_FIG12_BLOCKS, num_hashes=3
+        ),
+        SystemConfig.lvq(
+            bf_bytes=1408, segment_len=_FIG12_BLOCKS, num_hashes=3
+        ),
+    ],
+    ids=lambda config: config.kind.value,
+)
+def test_wire_pays_a_quarter_less_than_plain(fig12_workload, config):
+    """The PR 6 wire gate: at the fig12 geometry (10 and 30 paper-KB
+    filters, one segment spanning the chain) the all-probes batch,
+    aggregated then framed, is at least 25 % under its plain encoding
+    on every evaluated system."""
+    system = build_system(fig12_workload.bodies, config)
+    _, batch = _probe_batch(system, fig12_workload.probe_addresses)
+    wire = compress_frame(encode_aggregated_batch(batch, config))
+    assert len(wire) <= 0.75 * len(batch.serialize(config))

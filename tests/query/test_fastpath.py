@@ -3,8 +3,7 @@
 The fast prover (inverted index, single-pass multiproofs, position
 caching, resolution memoization) must be observationally identical to
 the pre-fast-path reference in :mod:`repro.query.naive` — same bytes on
-the wire for every system kind, address shape, and query range.  These
-tests are the acceptance gate the throughput benchmark also relies on.
+the wire for every system kind, address shape, and query range.
 """
 
 import pytest

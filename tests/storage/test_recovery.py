@@ -1,9 +1,10 @@
 """Crash-injection VFS unit tests and a kill-point harness smoke run.
 
-The exhaustive sweep (``--step 1``, every fault point) runs in the CI
-``recovery-smoke`` job; here a thinned matrix keeps the tier-1 suite
-fast while still crossing every commit phase (record bytes, log fsync,
-manifest tmp bytes, replace, dir sync).
+The exhaustive sweep (``--step 1``, every fault point) is a local
+release check and the CI ``recovery`` job runs one point in seven; here
+a thinner matrix keeps the tier-1 suite fast while still crossing every
+commit phase (record bytes, log fsync, manifest tmp bytes, replace, dir
+sync).
 """
 
 import pytest
