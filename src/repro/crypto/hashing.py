@@ -50,9 +50,15 @@ def hash160(data: bytes) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _tag_prefix(tag: str) -> bytes:
+def _tag_context(tag: str) -> "hashlib._Hash":
+    """A SHA-256 context primed with ``sha256(tag) || sha256(tag)``.
+
+    The prefix is exactly one 64-byte SHA-256 block, so a copy of the
+    primed context skips compressing it again on every call.  The shared
+    context is never updated after this, only copied.
+    """
     tag_digest = hashlib.sha256(tag.encode("ascii")).digest()
-    return tag_digest + tag_digest
+    return hashlib.sha256(tag_digest + tag_digest)
 
 
 def tagged_hash(tag: str, *chunks: bytes) -> bytes:
@@ -61,7 +67,7 @@ def tagged_hash(tag: str, *chunks: bytes) -> bytes:
     ``tag`` names the structure and node kind ("smt/leaf", "bmt/node", ...)
     so digests from different structures live in disjoint codomains.
     """
-    ctx = hashlib.sha256(_tag_prefix(tag))
+    ctx = _tag_context(tag).copy()
     for chunk in chunks:
         ctx.update(chunk)
     return ctx.digest()

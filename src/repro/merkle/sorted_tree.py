@@ -23,6 +23,7 @@ leaf indices, which is what makes adjacency verifiable at all.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
@@ -76,8 +77,6 @@ class SmtLeaf:
         leaf = cls.__new__(cls)
         leaf.address = address
         leaf.count = count
-        if count < 0:
-            raise EncodingError("negative count in SMT leaf")
         return leaf
 
     def __eq__(self, other: object) -> bool:
@@ -267,33 +266,48 @@ class SmtInexistenceProof:
         )
 
 
+#: Every padding slot hashes to this one digest.
+_SENTINEL_HASH = SmtLeaf.sentinel().hash()
+
+
 class SortedMerkleTree:
-    """The per-block SMT: sorted unique (address, count) leaves."""
+    """The per-block SMT: sorted unique (address, count) leaves.
+
+    A full node keeps one of these per block for the life of the chain,
+    so the tree is stored packed (DESIGN.md §8): the real addresses as
+    one tuple, their counts as one ``array``, and each hash level as one
+    ``bytes`` of 32·n.  Sentinel slots are implied by position, and
+    :class:`SmtLeaf` / :class:`SmtBranch` objects exist only while a
+    proof is being answered.
+    """
+
+    __slots__ = ("_addresses", "_counts", "_levels")
 
     def __init__(self, leaves: Sequence[SmtLeaf]) -> None:
         addresses = [leaf.address for leaf in leaves]
-        if any(leaf.is_sentinel for leaf in leaves):
+        if SMT_SENTINEL in addresses:
             raise ValueError("sentinel leaves are added automatically")
-        if sorted(addresses) != addresses or len(set(addresses)) != len(addresses):
+        if sorted(set(addresses)) != addresses:
             raise ValueError("SMT leaves must be strictly sorted and unique")
-        self._real_count = len(leaves)
-        padded: List[SmtLeaf] = list(leaves)
-        target = 1
-        while target < len(padded):
-            target <<= 1
-        if not padded:
-            target = 1
-        padded.extend(SmtLeaf.sentinel() for _ in range(target - len(padded)))
-        self._leaves = padded
-        self._levels: List[List[bytes]] = [[leaf.hash() for leaf in padded]]
-        level = self._levels[0]
-        while len(level) > 1:
-            level = [
-                tagged_hash(_NODE_TAG, level[i], level[i + 1])
-                for i in range(0, len(level), 2)
-            ]
-            self._levels.append(level)
-        self._addresses = [leaf.address for leaf in padded]
+        slots = 1
+        while slots < len(leaves):
+            slots <<= 1
+        level = b"".join([leaf.hash() for leaf in leaves]) + _SENTINEL_HASH * (
+            slots - len(leaves)
+        )
+        levels = [level]
+        pair = 2 * HASH_SIZE
+        while len(level) > HASH_SIZE:
+            level = b"".join(
+                [
+                    tagged_hash(_NODE_TAG, level[i : i + pair])
+                    for i in range(0, len(level), pair)
+                ]
+            )
+            levels.append(level)
+        self._addresses = tuple(addresses)
+        self._counts = array("Q", [leaf.count for leaf in leaves])
+        self._levels = tuple(levels)
 
     @classmethod
     def from_counts(cls, counts: "dict[str, int]") -> "SortedMerkleTree":
@@ -307,28 +321,32 @@ class SortedMerkleTree:
 
     @property
     def root(self) -> bytes:
-        return self._levels[-1][0]
+        return self._levels[-1]
 
     @property
     def num_leaves(self) -> int:
         """Total leaf slots, sentinels included (a power of two)."""
-        return len(self._leaves)
+        return len(self._levels[0]) // HASH_SIZE
 
     @property
     def num_real_leaves(self) -> int:
-        return self._real_count
+        return len(self._addresses)
 
     @property
     def depth(self) -> int:
         return len(self._levels) - 1
 
     def leaf(self, index: int) -> SmtLeaf:
-        return self._leaves[index]
+        if not 0 <= index < self.num_leaves:
+            raise IndexError(f"leaf index {index} out of range")
+        if index >= len(self._addresses):
+            return SmtLeaf.sentinel()
+        return SmtLeaf(self._addresses[index], self._counts[index])
 
     def count_of(self, address: str) -> int:
         """Appearance count of ``address`` (0 when absent)."""
         index = self._find(address)
-        return self._leaves[index].count if index is not None else 0
+        return self._counts[index] if index is not None else 0
 
     def __contains__(self, address: str) -> bool:
         return self._find(address) is not None
@@ -336,14 +354,14 @@ class SortedMerkleTree:
     # -- proofs ------------------------------------------------------------
 
     def branch(self, index: int) -> SmtBranch:
-        if not 0 <= index < self.num_leaves:
-            raise IndexError(f"leaf index {index} out of range")
+        leaf = self.leaf(index)
         siblings: List[bytes] = []
         position = index
         for level in self._levels[:-1]:
-            siblings.append(level[position ^ 1])
+            offset = (position ^ 1) * HASH_SIZE
+            siblings.append(level[offset : offset + HASH_SIZE])
             position >>= 1
-        return SmtBranch(self._leaves[index], index, siblings)
+        return SmtBranch(leaf, index, siblings)
 
     def prove_existence(self, address: str) -> SmtBranch:
         index = self._find(address)
@@ -356,6 +374,8 @@ class SortedMerkleTree:
             raise ProofError(
                 f"address {address!r} exists; use prove_existence instead"
             )
+        # Sentinels sort after every address, so the insertion point
+        # among the real leaves is the insertion point among all slots.
         insertion = bisect.bisect_left(self._addresses, address)
         if insertion == 0:
             return SmtInexistenceProof(None, self.branch(0))
@@ -367,7 +387,7 @@ class SortedMerkleTree:
 
     def __repr__(self) -> str:
         return (
-            f"SortedMerkleTree(real={self._real_count}, "
+            f"SortedMerkleTree(real={self.num_real_leaves}, "
             f"slots={self.num_leaves})"
         )
 
@@ -376,8 +396,7 @@ class SortedMerkleTree:
     def _find(self, address: str) -> Optional[int]:
         index = bisect.bisect_left(self._addresses, address)
         if index < len(self._addresses) and self._addresses[index] == address:
-            if not self._leaves[index].is_sentinel:
-                return index
+            return index
         return None
 
 

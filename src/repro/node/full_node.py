@@ -8,7 +8,8 @@ security tests subclass/wrap it with adversarial behaviours from
 
 Serving-side caching (DESIGN.md §8): each node carries its own
 :class:`~repro.query.cache.ResponseCache` of serialized query responses,
-keyed ``(address, first_height, requested_last, tip)`` and fronted by
+keyed ``(address, first_height, requested_last, tip)``, bounded by the
+bytes it holds (``response_cache_bytes``) and fronted by
 single-flight coalescing — N concurrent identical requests perform one
 proof generation and one serialization.  The cache is **per node**, not
 per system, because two nodes over one chain may answer differently (the
@@ -30,7 +31,7 @@ from repro.node.messages import (
     QueryResponse,
 )
 from repro.query.builder import BuiltSystem
-from repro.query.cache import ResponseCache
+from repro.query.cache import DEFAULT_RESPONSE_CACHE_BYTES, ResponseCache
 from repro.query.prover import answer_query
 from repro.query.result import QueryResult
 
@@ -39,12 +40,14 @@ class FullNode:
     """Serves headers and verifiable history queries from a built chain."""
 
     def __init__(
-        self, system: BuiltSystem, response_cache_entries: int = 1024
+        self,
+        system: BuiltSystem,
+        response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES,
     ) -> None:
         self.system = system
         #: Serialized answers for hot (address, range) pairs at the
         #: current tip; dropped whenever the chain grows.
-        self.response_cache = ResponseCache(response_cache_entries)
+        self.response_cache = ResponseCache(response_cache_bytes)
         #: Only honest answers are cacheable: subclasses that override
         #: ``answer`` (the adversarial doubles, some stochastic) must be
         #: re-invoked on every request so their per-call behaviour —

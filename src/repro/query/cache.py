@@ -5,18 +5,20 @@ PR 1 memoized block resolutions and segment multiproofs in plain dicts on
 dicts grow without limit, and under concurrent traffic they race.  This
 module supplies the serving-grade replacements:
 
-* :class:`LRUCache` — a size-bounded, thread-safe LRU with hit / miss /
-  eviction counters.  It exposes the same ``get`` / ``__setitem__``
-  surface the prover already uses, so the fast path did not change.
+* :class:`LRUCache` — a thread-safe LRU bounded by entries or, given a
+  ``weigh`` function, by what they weigh, with hit / miss / eviction
+  counters.  It exposes the same ``get`` / ``__setitem__`` surface the
+  prover already uses, so the fast path did not change.
 * :class:`RWLock` — a write-preferring readers/writer lock with
   *reentrant* readers.  Queries (readers) run concurrently against an
   immutable chain prefix; ``append_block`` (the writer) gets exclusive
   access, so a proof is never assembled over a half-appended block.
 * :class:`SingleFlight` — request coalescing: N concurrent calls with
   the same key perform the keyed work exactly once and share the result.
-* :class:`ResponseCache` — serialized response bytes behind an LRU plus
-  a single-flight front, keyed ``(address, range, tip)``.  Hot addresses
-  are proven and serialized once per tip and then served as a memcpy.
+* :class:`ResponseCache` — serialized response bytes behind a
+  byte-bounded LRU plus a single-flight front, keyed ``(address, range,
+  tip)``.  Hot addresses are proven and serialized once per tip and then
+  served as a memcpy.
 * :class:`QueryCaches` — the per-system bundle (resolutions, segments)
   wired into :class:`~repro.query.builder.BuiltSystem`.
 
@@ -40,9 +42,14 @@ from typing import Any, Callable, Dict, Hashable, Iterator, Optional
 
 
 class CacheStats:
-    """Cumulative counters of one cache (counters survive ``clear``)."""
+    """Cumulative counters of one cache (counters survive ``clear``).
 
-    __slots__ = ("hits", "misses", "evictions", "size", "max_entries")
+    ``weight`` is what the entries sum to under the cache's ``weigh``
+    function and ``bound`` is the most they may sum to.  Under the
+    default unit weight both count entries.
+    """
+
+    __slots__ = ("hits", "misses", "evictions", "size", "weight", "bound")
 
     def __init__(
         self,
@@ -50,38 +57,59 @@ class CacheStats:
         misses: int,
         evictions: int,
         size: int,
-        max_entries: int,
+        weight: int,
+        bound: int,
     ) -> None:
         self.hits = hits
         self.misses = misses
         self.evictions = evictions
         self.size = size
-        self.max_entries = max_entries
+        self.weight = weight
+        self.bound = bound
 
     @property
     def hit_rate(self) -> float:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> "dict[str, object]":
-        return {
+    def as_dict(self, unit: str = "entries") -> "dict[str, object]":
+        """The counters by name, the bound as ``max_<unit>``.
+
+        A unit other than entries also reports the weight, under the
+        unit's name (entries are already there as ``size``).
+        """
+        report = {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "size": self.size,
-            "max_entries": self.max_entries,
-            "hit_rate": self.hit_rate,
         }
+        if unit != "entries":
+            report[unit] = self.weight
+        report[f"max_{unit}"] = self.bound
+        report["hit_rate"] = self.hit_rate
+        return report
 
     def __repr__(self) -> str:
         return (
             f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, size={self.size}/{self.max_entries})"
+            f"evictions={self.evictions}, size={self.size}, "
+            f"weight={self.weight}/{self.bound})"
         )
 
 
+def _unit_weight(_value: Any) -> int:
+    return 1
+
+
 class LRUCache:
-    """A thread-safe, size-bounded LRU mapping.
+    """A thread-safe LRU mapping bounded by the total weight it holds.
+
+    ``weigh`` prices one value; the default prices every value at 1, so
+    the bound is a number of entries.  Inserting evicts from the cold
+    end until the total is back under the bound, and a value that alone
+    outweighs the bound is not stored at all (storing it would evict
+    everything else and then itself).
 
     Deliberately exposes only the dict surface the query path uses
     (``get``, item assignment, ``in``, ``len``, ``clear``) so it can
@@ -90,22 +118,22 @@ class LRUCache:
     how the prover's memo lookups are written.
     """
 
-    __slots__ = ("_lock", "_entries", "_max_entries", "_hits", "_misses",
-                 "_evictions")
+    __slots__ = ("_lock", "_entries", "_weigh", "_bound", "_weight", "_hits",
+                 "_misses", "_evictions")
 
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError(f"LRU bound must be >= 1, got {max_entries}")
+    def __init__(
+        self, bound: int, weigh: Callable[[Any], int] = _unit_weight
+    ) -> None:
+        if bound < 1:
+            raise ValueError(f"LRU bound must be >= 1, got {bound}")
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._max_entries = max_entries
+        self._weigh = weigh
+        self._bound = bound
+        self._weight = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:
@@ -121,11 +149,18 @@ class LRUCache:
     def __setitem__(self, key: Hashable, value: Any) -> None:
         if value is None:
             raise ValueError("LRUCache cannot store None (means 'absent')")
+        weight = self._weigh(value)
         with self._lock:
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self._weight -= self._weigh(replaced)
+            if weight > self._bound:
+                return
             self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
+            self._weight += weight
+            while self._weight > self._bound:
+                _, evicted = self._entries.popitem(last=False)
+                self._weight -= self._weigh(evicted)
                 self._evictions += 1
 
     def __contains__(self, key: Hashable) -> bool:
@@ -145,6 +180,7 @@ class LRUCache:
         """Drop every entry; cumulative counters are preserved."""
         with self._lock:
             self._entries.clear()
+            self._weight = 0
 
     def evict_if(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose *key* satisfies ``predicate``.
@@ -156,7 +192,7 @@ class LRUCache:
         with self._lock:
             stale = [key for key in self._entries if predicate(key)]
             for key in stale:
-                del self._entries[key]
+                self._weight -= self._weigh(self._entries.pop(key))
             self._evictions += len(stale)
             return len(stale)
 
@@ -167,7 +203,8 @@ class LRUCache:
                 self._misses,
                 self._evictions,
                 len(self._entries),
-                self._max_entries,
+                self._weight,
+                self._bound,
             )
 
 
@@ -331,19 +368,30 @@ class SingleFlight:
             flight.event.set()
 
 
+#: Four times the 7.5 MB of serialized answers ``poll_recent``'s 768
+#: hot keys come to (DESIGN.md §8), and a fraction of the chain a node
+#: already holds.
+DEFAULT_RESPONSE_CACHE_BYTES = 32 * 1024 * 1024
+
+
 class ResponseCache:
     """Serialized response bytes behind an LRU and a single-flight front.
 
     Keys are ``(address, first_height, requested_last, tip)``; the tip
     component makes an entry self-invalidating, and ``invalidate_all``
     (called on every ``append_block``) reclaims the memory eagerly.
+
+    The LRU is bounded by the bytes it holds, not by entries: responses
+    range from a few hundred bytes to megabytes and the client picks
+    which.  A response larger than the whole bound is returned to its
+    callers (all of them, through the one flight) and not kept.
     """
 
     # __weakref__ so FullNode can register weak append listeners.
     __slots__ = ("_lru", "_flight", "__weakref__")
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        self._lru = LRUCache(max_entries)
+    def __init__(self, max_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES) -> None:
+        self._lru = LRUCache(max_bytes, weigh=len)
         self._flight = SingleFlight()
 
     def get_or_build(self, key: Hashable, build: Callable[[], bytes]) -> bytes:
@@ -365,9 +413,17 @@ class ResponseCache:
         return len(self._lru)
 
     def stats(self) -> "dict[str, object]":
-        report = self._lru.stats().as_dict()
-        report["flights"] = self._flight.flights
-        report["coalesced"] = self._flight.coalesced
+        # Every LRU miss goes on to the flight front, as the leader that
+        # builds or as a follower that is handed the leader's bytes.
+        # Followers cost no build: they are ``coalesced``, not misses.
+        # Read before the LRU, so it can only be behind the miss count.
+        coalesced = self._flight.coalesced
+        flights = self._flight.flights
+        lru = self._lru.stats()
+        lru.misses -= coalesced
+        report = lru.as_dict("bytes")
+        report["flights"] = flights
+        report["coalesced"] = coalesced
         return report
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sizing import paper_equivalent_bf_bytes
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.query.builder import build_system
@@ -41,6 +42,23 @@ def workload():
         probes=_TEST_PROBES,
     )
     return generate_workload(params)
+
+
+@pytest.fixture(scope="session")
+def benchmark_chain():
+    """``(workload, config)`` of the e2e benchmark's chain at an eighth of
+    its length: 128 blocks x 40 tx, seed 2020, the fig12 ``lvq`` config.
+    Unbuilt — each test builds what it measures or mutates."""
+    blocks = 128
+    workload = generate_workload(
+        WorkloadParams(num_blocks=blocks, txs_per_block=40, seed=2020)
+    )
+    config = SystemConfig.lvq(
+        bf_bytes=paper_equivalent_bf_bytes(30, 96),
+        segment_len=blocks,
+        num_hashes=3,
+    )
+    return workload, config
 
 
 def _config_for(kind: SystemKind) -> SystemConfig:

@@ -5,6 +5,8 @@ import hashlib
 import pytest
 
 from repro.crypto.hashing import HASH_SIZE, hash160, sha256, sha256d, tagged_hash
+from repro.merkle import bmt, sorted_tree
+from repro.query import config
 
 
 class TestSha256:
@@ -58,6 +60,29 @@ class TestTaggedHash:
         tag_digest = hashlib.sha256(b"t").digest()
         expected = hashlib.sha256(tag_digest + tag_digest + b"payload").digest()
         assert tagged_hash("t", b"payload") == expected
+
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            sorted_tree._LEAF_TAG,
+            sorted_tree._NODE_TAG,
+            bmt._LEAF_TAG,
+            bmt._NODE_TAG,
+            config._BF_COMMIT_TAG,
+            "index/sid",
+            "hash160-fallback",
+        ],
+    )
+    def test_every_tag_in_use_matches_the_literal_construction(self, tag):
+        """``tagged_hash`` copies one primed context per tag; the copies
+        must hash as if the 64-byte prefix were fed in every time, call
+        after call and whatever an earlier call appended."""
+        prefix = hashlib.sha256(tag.encode("ascii")).digest() * 2
+        left, right = bytes(range(32)), bytes(range(32, 64))
+        for chunks in ((), (left,), (left, right), (right, left, b"\x00" * 97)):
+            expected = hashlib.sha256(prefix + b"".join(chunks)).digest()
+            assert tagged_hash(tag, *chunks) == expected
+            assert tagged_hash(tag, *chunks) == expected
 
 
 class TestHash160:

@@ -9,7 +9,9 @@ Covers the serving-engine plumbing of :mod:`repro.query.cache`:
   writer waits, upgrade rejection;
 * the wiring into ``BuiltSystem``/``FullNode`` — the PR-1 memo dicts
   are now bounded, response bytes drop on ``append_block`` while the
-  append-stable segment/resolution entries survive.
+  append-stable segment/resolution entries survive;
+* the response cache's byte bound — the running total is exact after
+  every kind of operation and never passes the bound.
 """
 
 from __future__ import annotations
@@ -275,6 +277,168 @@ class TestResponseCache:
         assert len(cache) == 1
         cache.invalidate_all()
         assert len(cache) == 0
+
+
+def _assert_bytes_exact(cache: ResponseCache) -> "dict[str, object]":
+    """The accounting invariant: the running total is the real total,
+    and the real total is inside the bound."""
+    stats = cache.stats()
+    held = list(cache._lru._entries.values())
+    assert stats["bytes"] == sum(len(value) for value in held)
+    assert stats["size"] == len(held) == len(cache)
+    assert stats["bytes"] <= stats["max_bytes"]
+    return stats
+
+
+class TestResponseCacheByteBound:
+    def test_insert_overwrite_and_eviction_keep_the_total_exact(self):
+        cache = ResponseCache(100)
+        assert cache.stats()["max_bytes"] == 100
+        assert "max_entries" not in cache.stats()
+        cache.get_or_build("a", lambda: b"a" * 40)
+        assert _assert_bytes_exact(cache)["bytes"] == 40
+        cache.get_or_build("b", lambda: b"b" * 40)
+        assert _assert_bytes_exact(cache)["bytes"] == 80
+        # A live key overwritten (two flights can land back to back on
+        # one key): the old value's bytes leave with it.
+        cache._lru["a"] = b"A" * 10
+        assert _assert_bytes_exact(cache)["bytes"] == 50
+        cache._lru["a"] = b"A" * 60
+        assert _assert_bytes_exact(cache)["bytes"] == 100
+        # 100 + 30 > 100: the coldest entry goes ("b": "a" was rewritten
+        # after it), and one eviction is enough.
+        cache.get_or_build("c", lambda: b"c" * 30)
+        stats = _assert_bytes_exact(cache)
+        assert stats["bytes"] == 90 and stats["evictions"] == 1
+        assert cache._lru.keys() == ["a", "c"]
+        # One big value may push out several small ones.
+        cache.get_or_build("d", lambda: b"d" * 95)
+        stats = _assert_bytes_exact(cache)
+        assert stats["bytes"] == 95 and stats["evictions"] == 3
+        cache.invalidate_all()
+        stats = _assert_bytes_exact(cache)
+        assert stats["bytes"] == 0 and stats["size"] == 0
+        assert stats["evictions"] == 3  # counters survive
+
+    def test_selective_eviction_keeps_the_total_exact(self):
+        lru = LRUCache(100, weigh=len)
+        for height in range(5):
+            lru[("addr", height)] = b"x" * (10 + height)
+        assert lru.stats().weight == 60
+        assert lru.evict_if(lambda key: key[1] >= 3) == 2
+        assert lru.stats().weight == 10 + 11 + 12
+        assert lru.stats().size == 3
+
+    def test_oversize_value_is_returned_but_not_stored(self):
+        cache = ResponseCache(10)
+        cache.get_or_build("small", lambda: b"s" * 4)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return b"B" * 11
+
+        assert cache.get_or_build("big", build) == b"B" * 11
+        stats = _assert_bytes_exact(cache)
+        # Neither stored nor allowed to push the small entry out.
+        assert cache._lru.keys() == ["small"]
+        assert stats["bytes"] == 4 and stats["evictions"] == 0
+        # Not stored, so asked again it is built again.
+        assert cache.get_or_build("big", build) == b"B" * 11
+        assert len(builds) == 2
+        # An oversize rewrite of a live key must not leave the old bytes
+        # behind to be served for it.
+        cache._lru["small"] = b"S" * 11
+        assert _assert_bytes_exact(cache)["size"] == 0
+        # Exactly at the bound still fits.
+        cache.get_or_build("fits", lambda: b"f" * 10)
+        assert _assert_bytes_exact(cache)["bytes"] == 10
+
+    def test_herd_of_identical_oversize_requests_builds_once(self):
+        cache = ResponseCache(10)
+        herd = 6
+        barrier = threading.Barrier(herd, timeout=10)
+        builds = []
+        results = []
+
+        def build():
+            builds.append(threading.get_ident())
+            time.sleep(0.3)  # hold the flight open for the followers
+            return b"B" * 1000
+
+        def caller():
+            barrier.wait()
+            results.append(cache.get_or_build("big", build))
+
+        threads = [threading.Thread(target=caller) for _ in range(herd)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [b"B" * 1000] * herd
+        assert len(builds) == 1
+        stats = _assert_bytes_exact(cache)
+        assert stats["size"] == 0
+        # One build is one miss; the five it was shared with are
+        # coalesced, not five more misses.
+        assert stats["flights"] == 1 and stats["coalesced"] == herd - 1
+        assert stats["misses"] == 1 and stats["hits"] == 0
+
+
+class TestResponseCacheBoundThroughFullNode:
+    """On ``benchmark_chain`` the heaviest probe's long ranges come to
+    tens of KB each."""
+
+    def test_distinct_heavy_ranges_stay_inside_one_mebibyte(self, benchmark_chain):
+        workload, config = benchmark_chain
+        blocks = len(workload.bodies) - 1
+        system = build_system(workload.bodies[:-2], config)
+        node = FullNode(system, response_cache_bytes=1 << 20)
+        cache = node.response_cache
+        heaviest = workload.probe_addresses["Addr6"]
+        built = 0
+        for first in range(1, 65):
+            frame = node.handle_query(QueryRequest(heaviest, first).serialize())
+            built += len(frame)
+            stats = _assert_bytes_exact(cache)
+        # The 64 answers would not all have fit, so the bound did work.
+        assert built > 2 * stats["max_bytes"]
+        assert stats["evictions"] > 0 and stats["misses"] == 64
+        assert stats["bytes"] > stats["max_bytes"] // 2
+        # What is still held is served from the cache, byte for byte.
+        request = QueryRequest(heaviest, 64).serialize()
+        assert node.handle_query(request) == frame
+        assert cache.stats()["hits"] == 1
+
+        # An append drops every tip-keyed byte ...
+        node.extend_chain([workload.bodies[blocks - 1]])
+        stats = _assert_bytes_exact(cache)
+        assert stats["bytes"] == 0 and stats["size"] == 0
+        node.handle_query(request)
+        assert _assert_bytes_exact(cache)["bytes"] > 0
+        # ... and so does a reorg, here onto a fork one block longer.
+        node.reorg(blocks - 2, workload.bodies[blocks - 1 :])
+        assert system.tip_height == blocks
+        stats = _assert_bytes_exact(cache)
+        assert stats["bytes"] == 0 and stats["size"] == 0
+        node.handle_query(request)
+        assert _assert_bytes_exact(cache)["bytes"] > 0
+
+    def test_whole_chain_answer_over_the_bound_is_served_uncached(
+        self, benchmark_chain
+    ):
+        workload, config = benchmark_chain
+        system = build_system(workload.bodies, config)
+        node = FullNode(system, response_cache_bytes=4096)
+        request = QueryRequest(workload.probe_addresses["Addr6"]).serialize()
+        frame = node.handle_query(request)
+        assert len(frame) > 4096
+        assert node.handle_query(request) == frame
+        stats = _assert_bytes_exact(node.response_cache)
+        assert stats["size"] == 0 and stats["misses"] == 2
+        result = QueryResponse.deserialize(frame, config).result
+        assert result.tip_height == system.tip_height
 
 
 @pytest.fixture(scope="module")
