@@ -207,9 +207,17 @@ class Transaction:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "Transaction":
+        """Decode exactly ``payload`` and take its txid from those bytes.
+
+        Decoding is canonical — varints must be minimal, addresses
+        strict UTF-8, and no byte may trail — so the only payload that
+        decodes to a transaction is that transaction's serialization,
+        and hashing the received bytes equals hashing a re-encoding.
+        """
         reader = ByteReader(payload)
         transaction = cls.deserialize(reader)
         reader.finish()
+        transaction._txid = sha256d(payload)
         return transaction
 
     def size_bytes(self) -> int:

@@ -15,7 +15,6 @@ from repro.crypto.encoding import (
     base58_decode,
     base58check_encode,
     base58check_decode,
-    read_exact,
     ByteReader,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "base58_decode",
     "base58check_encode",
     "base58check_decode",
-    "read_exact",
     "ByteReader",
 ]

@@ -64,16 +64,6 @@ def read_varint(data: bytes, offset: int = 0) -> "tuple[int, int]":
     return value, end
 
 
-def read_exact(data: bytes, offset: int, length: int) -> "tuple[bytes, int]":
-    """Slice ``length`` bytes at ``offset`` or raise :class:`EncodingError`."""
-    end = offset + length
-    if length < 0 or end > len(data):
-        raise EncodingError(
-            f"expected {length} bytes at offset {offset}, have {len(data) - offset}"
-        )
-    return data[offset:end], end
-
-
 class ByteReader:
     """Cursor over immutable bytes with canonical-decode helpers.
 
@@ -87,15 +77,38 @@ class ByteReader:
         self._offset = 0
 
     @property
+    def buffer(self) -> bytes:
+        """The whole underlying byte string (for structure scans that
+        take one slice with :meth:`bytes` once they know its length)."""
+        return self._data
+
+    @property
+    def offset(self) -> int:
+        return self._offset
+
+    @property
     def remaining(self) -> int:
         return len(self._data) - self._offset
 
     def bytes(self, length: int) -> bytes:
-        chunk, self._offset = read_exact(self._data, self._offset, length)
-        return chunk
+        start = self._offset
+        end = start + length
+        if length < 0 or end > len(self._data):
+            raise EncodingError(
+                f"expected {length} bytes at offset {start}, "
+                f"have {len(self._data) - start}"
+            )
+        self._offset = end
+        return self._data[start:end]
 
     def varint(self) -> int:
-        value, self._offset = read_varint(self._data, self._offset)
+        offset = self._offset
+        if offset < len(self._data):
+            first = self._data[offset]
+            if first < 0xFD:  # one-byte form, canonical by construction
+                self._offset = offset + 1
+                return first
+        value, self._offset = read_varint(self._data, offset)
         return value
 
     def uint(self, width: int) -> int:

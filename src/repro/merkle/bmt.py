@@ -26,13 +26,15 @@ Two proof forms are implemented:
   check always explores *both* children, the union of all endpoint paths
   is a full frontier of the tree, so the merged proof is simply a
   recursive partial-tree encoding in which every interior ``(hash, bf)``
-  is recomputed by the verifier and only endpoint filters ship.
+  is recomputed by the verifier and only endpoint filters ship.  The
+  proof object *is* that encoding: the verifier replays the wire bytes
+  directly, never building a filter object per node.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bloom.bitarray import BitArray
 from repro.bloom.filter import BloomFilter, bloom_positions
@@ -55,6 +57,17 @@ _TAG_FAILED_LEAF = 3
 # H(bf)); an internal stub is its hash plus its filter.
 _TAG_STUB_LEAF = 4
 _TAG_STUB_INTERNAL = 5
+#: Hashes each non-internal tag carries before its filter.
+_TAG_HASHES = {
+    _TAG_CLEAN_LEAF: 0,
+    _TAG_CLEAN_INTERNAL: 2,
+    _TAG_FAILED_LEAF: 0,
+    _TAG_STUB_LEAF: 0,
+    _TAG_STUB_INTERNAL: 1,
+}
+_TAG_BYTES = [bytes([tag]) for tag in range(6)]
+#: Deepest nesting a decoded multiproof may have (a 2^64-block tree).
+_MAX_NESTING = 64
 
 
 class EndpointKind(enum.Enum):
@@ -252,7 +265,22 @@ class BmtTree:
         positions: "Optional[List[int]]" = None,
         failed_heights: "Optional[List[int]]" = None,
     ) -> "BmtMultiProof":
-        """Merged inexistence/endpoint proof (Fig 11) for ``item``.
+        """Merged inexistence/endpoint proof (Fig 11) for ``item``: the
+        wire encoding of :meth:`frontier`."""
+        return BmtMultiProof.encode(
+            self.frontier(item, query_range, positions, failed_heights),
+            self.root.bf.size_bytes,
+        )
+
+    def frontier(
+        self,
+        item: bytes,
+        query_range: "Optional[Tuple[int, int]]" = None,
+        positions: "Optional[List[int]]" = None,
+        failed_heights: "Optional[List[int]]" = None,
+    ) -> "List[Tuple[int, BmtNode]]":
+        """The nodes a multiproof for ``item`` ships, as ``(tag, node)``
+        pairs in pre-order (the order they are written on the wire).
 
         With ``query_range=(first, last)`` the proof is *restricted*:
         subtrees entirely outside that height range ship as ``(hash, bf)``
@@ -268,6 +296,9 @@ class BmtTree:
         precisely through nodes whose checks fail; a failed leaf's
         ancestors all fail too, because every ancestor filter is a
         superset union of the leaf's.)
+
+        The pairs reference the tree's own nodes, so a frontier costs one
+        tuple per shipped node and copies no filter.
         """
         if positions is None:
             positions = bloom_positions(
@@ -282,72 +313,41 @@ class BmtTree:
                 f"range [{self.start},{self.end}]"
             )
         mask = BitArray.positions_mask(positions)
-        return BmtMultiProof(
-            self._build_proof(self.root, mask, first, last, failed_heights)
-        )
+        out: "List[Tuple[int, BmtNode]]" = []
+        self._collect(self.root, mask, first, last, failed_heights, out)
+        return out
 
     @staticmethod
-    def _build_proof(
+    def _collect(
         node: BmtNode,
         mask: int,
         first: int,
         last: int,
-        failed_heights: "Optional[List[int]]" = None,
-    ) -> "_ProofNode":
+        failed_heights: "Optional[List[int]]",
+        out: "List[Tuple[int, BmtNode]]",
+    ) -> None:
         if node.end < first or node.start > last:  # fully outside the range
-            if node.is_leaf:
-                return _ProofNode(_TAG_STUB_LEAF, bf=node.bf)
-            return _ProofNode(
-                _TAG_STUB_INTERNAL, bf=node.bf, stub_hash=node.hash
+            out.append(
+                (_TAG_STUB_LEAF if node.is_leaf else _TAG_STUB_INTERNAL, node)
             )
+            return
         if not node.bf.bits.covers_mask(mask):
-            if node.is_leaf:
-                return _ProofNode(_TAG_CLEAN_LEAF, bf=node.bf)
-            assert node.left is not None and node.right is not None
-            return _ProofNode(
-                _TAG_CLEAN_INTERNAL,
-                bf=node.bf,
-                child_hashes=(node.left.hash, node.right.hash),
+            out.append(
+                (_TAG_CLEAN_LEAF if node.is_leaf else _TAG_CLEAN_INTERNAL, node)
             )
+            return
         if node.is_leaf:
             if failed_heights is not None:
                 failed_heights.append(node.start)
-            return _ProofNode(_TAG_FAILED_LEAF, bf=node.bf)
+            out.append((_TAG_FAILED_LEAF, node))
+            return
         assert node.left is not None and node.right is not None
-        return _ProofNode(
-            _TAG_INTERNAL,
-            left=BmtTree._build_proof(
-                node.left, mask, first, last, failed_heights
-            ),
-            right=BmtTree._build_proof(
-                node.right, mask, first, last, failed_heights
-            ),
-        )
+        out.append((_TAG_INTERNAL, node))
+        BmtTree._collect(node.left, mask, first, last, failed_heights, out)
+        BmtTree._collect(node.right, mask, first, last, failed_heights, out)
 
     def __repr__(self) -> str:
         return f"BmtTree(blocks=[{self.start},{self.end}], depth={self.depth})"
-
-
-class _ProofNode:
-    """In-memory node of a multiproof frontier."""
-
-    __slots__ = ("tag", "bf", "child_hashes", "left", "right", "stub_hash")
-
-    def __init__(
-        self,
-        tag: int,
-        bf: Optional[BloomFilter] = None,
-        child_hashes: Optional[Tuple[bytes, bytes]] = None,
-        left: "Optional[_ProofNode]" = None,
-        right: "Optional[_ProofNode]" = None,
-        stub_hash: Optional[bytes] = None,
-    ) -> None:
-        self.tag = tag
-        self.bf = bf
-        self.child_hashes = child_hashes
-        self.left = left
-        self.right = right
-        self.stub_hash = stub_hash
 
 
 class VerifiedBmt:
@@ -369,10 +369,40 @@ class VerifiedBmt:
 
 
 class BmtMultiProof:
-    """Merged endpoint proof for one BMT (the form LVQ queries ship)."""
+    """Merged endpoint proof for one BMT (the form LVQ queries ship).
 
-    def __init__(self, root: _ProofNode) -> None:
-        self._root = root
+    The object is its wire image (PROTOCOL.md §4.2): the pre-order node
+    encoding :meth:`serialize` returns, plus ``bf_bytes``, the filter
+    width it was encoded or decoded with.  Verification replays those
+    bytes in one recursive pass and builds no filter object per node.
+    """
+
+    __slots__ = ("_raw", "bf_bytes")
+
+    def __init__(self, raw: bytes, bf_bytes: int) -> None:
+        """Wrap a structurally valid image — one produced by
+        :meth:`encode` or :meth:`deserialize`."""
+        self._raw = raw
+        self.bf_bytes = bf_bytes
+
+    @classmethod
+    def encode(
+        cls, frontier: "Sequence[Tuple[int, BmtNode]]", bf_bytes: int
+    ) -> "BmtMultiProof":
+        """Write a :meth:`BmtTree.frontier` as a multiproof."""
+        parts: List[bytes] = []
+        for tag, node in frontier:
+            parts.append(_TAG_BYTES[tag])
+            if tag == _TAG_INTERNAL:
+                continue
+            if tag == _TAG_CLEAN_INTERNAL:
+                assert node.left is not None and node.right is not None
+                parts.append(node.left.hash)
+                parts.append(node.right.hash)
+            elif tag == _TAG_STUB_INTERNAL:
+                parts.append(node.hash)
+            parts.append(node.bf.to_bytes())
+        return cls(b"".join(parts), bf_bytes)
 
     # -- verification ------------------------------------------------------
 
@@ -418,96 +448,180 @@ class BmtMultiProof:
         first, last = query_range
         if first > last:
             raise VerificationError(f"empty query range [{first},{last}]")
-        depth = num_blocks.bit_length() - 1
+        # Every filter in the image has the width it was decoded with.
+        if self.bf_bytes * 8 != size_bits:
+            raise VerificationError(
+                f"BF size {self.bf_bytes * 8} bits differs from the chain "
+                f"parameter {size_bits}"
+            )
         if positions is None:
             positions = bloom_positions(item, num_hashes, size_bits)
         result = VerifiedBmt([], [], 0)
-        hash_value, _bf = self._verify_node(
-            self._root,
-            depth,
-            start_height,
+        hash_value = _replay(
+            self._raw,
+            self.bf_bytes,
             BitArray.positions_mask(positions),
-            size_bits,
-            result,
             first,
             last,
+            result,
+            num_blocks.bit_length() - 1,
+            start_height,
         )
         if hash_value != expected_root:
             raise VerificationError("BMT multiproof root hash mismatch")
+        result.num_endpoints = len(result.clean_ranges) + len(
+            result.failed_heights
+        )
         return result
 
-    def _verify_node(
+    # -- inspection --------------------------------------------------------
+
+    def nodes(
         self,
-        node: _ProofNode,
-        layer: int,
-        start: int,
-        mask: int,
-        size_bits: int,
-        result: VerifiedBmt,
-        first: int,
-        last: int,
-    ) -> Tuple[bytes, BloomFilter]:
-        span = 1 << layer
-        if node.tag == _TAG_INTERNAL:
+    ) -> "Iterator[Tuple[int, Tuple[bytes, ...], Optional[bytes]]]":
+        """``(tag, hashes, filter)`` per node in pre-order (wire order).
+
+        ``hashes`` are the 32-byte hashes the node carries (two child
+        hashes for a clean internal endpoint, the subtree hash for an
+        internal stub, none otherwise); ``filter`` is ``None`` for an
+        internal (descended) node.  Node ``i`` starts at byte
+        ``sum(1 + 32·len(hashes) + len(filter))`` over nodes before it.
+        """
+        data = self._raw
+        width = self.bf_bytes
+        pos = 0
+        while pos < len(data):
+            tag = data[pos]
+            pos += 1
+            if tag == _TAG_INTERNAL:
+                yield tag, (), None
+                continue
+            if tag == _TAG_CLEAN_INTERNAL:
+                middle = pos + HASH_SIZE
+                hashes = (data[pos:middle], data[middle : middle + HASH_SIZE])
+            elif tag == _TAG_STUB_INTERNAL:
+                hashes = (data[pos : pos + HASH_SIZE],)
+            else:
+                hashes = ()
+            pos += HASH_SIZE * len(hashes)
+            yield tag, hashes, data[pos : pos + width]
+            pos += width
+
+    def _count(self, tags: "Tuple[int, ...]") -> int:
+        return sum(1 for tag, _hashes, _bf in self.nodes() if tag in tags)
+
+    def num_endpoints(self) -> int:
+        return self._count(
+            (_TAG_CLEAN_LEAF, _TAG_CLEAN_INTERNAL, _TAG_FAILED_LEAF)
+        )
+
+    def num_stubs(self) -> int:
+        return self._count((_TAG_STUB_LEAF, _TAG_STUB_INTERNAL))
+
+    def failed_leaf_count(self) -> int:
+        return self._count((_TAG_FAILED_LEAF,))
+
+    # -- serialization -----------------------------------------------------
+
+    def serialize(self) -> bytes:
+        return self._raw
+
+    @classmethod
+    def deserialize(cls, reader: ByteReader, size_bits: int) -> "BmtMultiProof":
+        """Scan one multiproof's structure at the reader and take it as a
+        single slice; filters are ``size_bits // 8`` bytes each."""
+        bf_bytes = size_bits // 8
+        data = reader.buffer
+        start = pos = reader.offset
+        pending = [0]  # nesting depth of each subtree still to read
+        while pending:
+            depth = pending.pop()
+            if depth > _MAX_NESTING:
+                raise EncodingError("BMT multiproof nests implausibly deep")
+            if pos >= len(data):
+                raise EncodingError(f"BMT multiproof truncated at offset {pos}")
+            tag = data[pos]
+            pos += 1
+            if tag == _TAG_INTERNAL:
+                pending.extend((depth + 1, depth + 1))
+                continue
+            hashes = _TAG_HASHES.get(tag)
+            if hashes is None:
+                raise EncodingError(f"unknown BMT multiproof tag {tag}")
+            pos += HASH_SIZE * hashes + bf_bytes
+        return cls(reader.bytes(pos - start), bf_bytes)
+
+    def size_bytes(self) -> int:
+        return len(self._raw)
+
+
+def _replay(
+    data: bytes,
+    width: int,
+    mask: int,
+    first: int,
+    last: int,
+    result: VerifiedBmt,
+    depth: int,
+    start_height: int,
+) -> bytes:
+    """Replay a multiproof image bottom-up; returns the root hash.
+
+    Every shipped filter is hashed as received and read into an ``int``
+    once, for the checked-bit test and its parent's OR (Eq 3); every
+    recomputed parent is ``left | right`` turned back into bytes once,
+    for its Eq-2 hash.
+    """
+    clean_ranges = result.clean_ranges
+    failed_heights = result.failed_heights
+
+    def node(pos: int, layer: int, start: int) -> Tuple[bytes, int, int]:
+        tag = data[pos]
+        pos += 1
+        if tag == _TAG_INTERNAL:
             if layer == 0:
                 raise VerificationError("internal proof node at leaf layer")
-            assert node.left is not None and node.right is not None
-            left_hash, left_bf = self._verify_node(
-                node.left,
-                layer - 1,
-                start,
-                mask,
-                size_bits,
-                result,
-                first,
-                last,
+            left_hash, left_bits, pos = node(pos, layer - 1, start)
+            right_hash, right_bits, pos = node(
+                pos, layer - 1, start + (1 << (layer - 1))
             )
-            right_hash, right_bf = self._verify_node(
-                node.right,
-                layer - 1,
-                start + span // 2,
-                mask,
-                size_bits,
-                result,
-                first,
-                last,
-            )
-            merged = left_bf | right_bf
-            if not merged.bits.covers_mask(mask):
+            bits = left_bits | right_bits
+            if bits & mask != mask:
                 raise VerificationError(
                     "descent past a node whose check already succeeds "
                     f"(layer {layer}, start {start}) — proof is not minimal"
                 )
-            return node_hash(left_hash, right_hash, merged), merged
+            merged = bits.to_bytes(width, "little")
+            parent_hash = tagged_hash(_NODE_TAG, left_hash, right_hash, merged)
+            return parent_hash, bits, pos
 
-        bf = node.bf
-        assert bf is not None
-        if bf.size_bits != size_bits:
-            raise VerificationError(
-                f"BF size {bf.size_bits} bits differs from the chain "
-                f"parameter {size_bits}"
-            )
+        hashes = _TAG_HASHES.get(tag)
+        if hashes is None:
+            raise VerificationError(f"unknown multiproof node tag {tag}")
+        bf_start = pos + HASH_SIZE * hashes
+        end = bf_start + width
+        bf = data[bf_start:end]
+        bits = int.from_bytes(bf, "little")
+        span = 1 << layer
 
-        if node.tag in (_TAG_STUB_LEAF, _TAG_STUB_INTERNAL):
-            end = start + span - 1
-            if not (end < first or start > last):
+        if tag == _TAG_STUB_LEAF or tag == _TAG_STUB_INTERNAL:
+            stop = start + span - 1
+            if not (stop < first or start > last):
                 raise VerificationError(
-                    f"stub node covering [{start},{end}] intrudes into the "
+                    f"stub node covering [{start},{stop}] intrudes into the "
                     f"queried range [{first},{last}]"
                 )
-            if node.tag == _TAG_STUB_LEAF:
+            if tag == _TAG_STUB_LEAF:
                 if layer != 0:
                     raise VerificationError("leaf stub above layer 0")
-                return leaf_hash(bf), bf
+                return tagged_hash(_LEAF_TAG, bf), bits, end
             if layer == 0:
                 raise VerificationError("internal stub at leaf layer")
-            if node.stub_hash is None:
-                raise VerificationError("internal stub lacks its hash")
-            return node.stub_hash, bf
+            return data[pos:bf_start], bits, end
 
-        check_failed = bf.bits.covers_mask(mask)
+        check_failed = bits & mask == mask
 
-        if node.tag == _TAG_CLEAN_LEAF:
+        if tag == _TAG_CLEAN_LEAF:
             if layer != 0:
                 raise VerificationError("clean-leaf endpoint above layer 0")
             if check_failed:
@@ -515,11 +629,10 @@ class BmtMultiProof:
                     f"endpoint at height {start} claims a successful check "
                     "but every checked bit position is set"
                 )
-            result.clean_ranges.append((start, start))
-            result.num_endpoints += 1
-            return leaf_hash(bf), bf
+            clean_ranges.append((start, start))
+            return tagged_hash(_LEAF_TAG, bf), bits, end
 
-        if node.tag == _TAG_CLEAN_INTERNAL:
+        if tag == _TAG_CLEAN_INTERNAL:
             if layer == 0:
                 raise VerificationError("internal endpoint at leaf layer")
             if check_failed:
@@ -527,126 +640,30 @@ class BmtMultiProof:
                     f"endpoint covering [{start},{start + span - 1}] claims "
                     "a successful check but every checked bit position is set"
                 )
-            if node.child_hashes is None:
-                raise VerificationError("internal endpoint lacks child hashes")
-            result.clean_ranges.append((start, start + span - 1))
-            result.num_endpoints += 1
-            return node_hash(node.child_hashes[0], node.child_hashes[1], bf), bf
+            clean_ranges.append((start, start + span - 1))
+            middle = pos + HASH_SIZE
+            endpoint_hash = tagged_hash(
+                _NODE_TAG, data[pos:middle], data[middle:bf_start], bf
+            )
+            return endpoint_hash, bits, end
 
-        if node.tag == _TAG_FAILED_LEAF:
-            if layer != 0:
-                raise VerificationError("failed endpoint above layer 0")
-            if not first <= start <= last:
-                raise VerificationError(
-                    f"failed endpoint at height {start} lies outside the "
-                    f"queried range [{first},{last}] — it must be a stub"
-                )
-            if not check_failed:
-                raise VerificationError(
-                    f"endpoint at height {start} claims a failed check but "
-                    "some checked bit position is clear"
-                )
-            result.failed_heights.append(start)
-            result.num_endpoints += 1
-            return leaf_hash(bf), bf
+        # _TAG_FAILED_LEAF
+        if layer != 0:
+            raise VerificationError("failed endpoint above layer 0")
+        if not first <= start <= last:
+            raise VerificationError(
+                f"failed endpoint at height {start} lies outside the "
+                f"queried range [{first},{last}] — it must be a stub"
+            )
+        if not check_failed:
+            raise VerificationError(
+                f"endpoint at height {start} claims a failed check but "
+                "some checked bit position is clear"
+            )
+        failed_heights.append(start)
+        return tagged_hash(_LEAF_TAG, bf), bits, end
 
-        raise VerificationError(f"unknown multiproof node tag {node.tag}")
-
-    # -- statistics --------------------------------------------------------
-
-    def num_endpoints(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.tag == _TAG_INTERNAL:
-                assert node.left is not None and node.right is not None
-                stack.extend((node.left, node.right))
-            elif node.tag not in (_TAG_STUB_LEAF, _TAG_STUB_INTERNAL):
-                count += 1
-        return count
-
-    def num_stubs(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.tag == _TAG_INTERNAL:
-                assert node.left is not None and node.right is not None
-                stack.extend((node.left, node.right))
-            elif node.tag in (_TAG_STUB_LEAF, _TAG_STUB_INTERNAL):
-                count += 1
-        return count
-
-    def failed_leaf_count(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.tag == _TAG_INTERNAL:
-                assert node.left is not None and node.right is not None
-                stack.extend((node.left, node.right))
-            elif node.tag == _TAG_FAILED_LEAF:
-                count += 1
-        return count
-
-    # -- serialization -----------------------------------------------------
-
-    def serialize(self) -> bytes:
-        parts: List[bytes] = []
-        self._serialize_node(self._root, parts)
-        return b"".join(parts)
-
-    @staticmethod
-    def _serialize_node(node: _ProofNode, parts: List[bytes]) -> None:
-        parts.append(bytes([node.tag]))
-        if node.tag == _TAG_INTERNAL:
-            assert node.left is not None and node.right is not None
-            BmtMultiProof._serialize_node(node.left, parts)
-            BmtMultiProof._serialize_node(node.right, parts)
-            return
-        assert node.bf is not None
-        if node.tag == _TAG_CLEAN_INTERNAL:
-            assert node.child_hashes is not None
-            parts.append(node.child_hashes[0])
-            parts.append(node.child_hashes[1])
-        elif node.tag == _TAG_STUB_INTERNAL:
-            assert node.stub_hash is not None
-            parts.append(node.stub_hash)
-        parts.append(node.bf.to_bytes())
-
-    @classmethod
-    def deserialize(
-        cls, reader: ByteReader, size_bits: int, num_hashes: int
-    ) -> "BmtMultiProof":
-        return cls(cls._deserialize_node(reader, size_bits, num_hashes, 0))
-
-    @classmethod
-    def _deserialize_node(
-        cls, reader: ByteReader, size_bits: int, num_hashes: int, depth: int
-    ) -> _ProofNode:
-        if depth > 64:
-            raise EncodingError("BMT multiproof nests implausibly deep")
-        tag = reader.bytes(1)[0]
-        if tag == _TAG_INTERNAL:
-            left = cls._deserialize_node(reader, size_bits, num_hashes, depth + 1)
-            right = cls._deserialize_node(reader, size_bits, num_hashes, depth + 1)
-            return _ProofNode(_TAG_INTERNAL, left=left, right=right)
-        child_hashes = None
-        stub_hash = None
-        if tag == _TAG_CLEAN_INTERNAL:
-            child_hashes = (reader.bytes(HASH_SIZE), reader.bytes(HASH_SIZE))
-        elif tag == _TAG_STUB_INTERNAL:
-            stub_hash = reader.bytes(HASH_SIZE)
-        elif tag not in (_TAG_CLEAN_LEAF, _TAG_FAILED_LEAF, _TAG_STUB_LEAF):
-            raise EncodingError(f"unknown BMT multiproof tag {tag}")
-        bf = BloomFilter.from_bytes(reader.bytes(size_bits // 8), num_hashes)
-        return _ProofNode(
-            tag, bf=bf, child_hashes=child_hashes, stub_hash=stub_hash
-        )
-
-    def size_bytes(self) -> int:
-        return len(self.serialize())
+    return node(0, depth, start_height)[0]
 
 
 class BmtBranch:

@@ -9,6 +9,7 @@ one-byte type tag plus a length-exact payload.  The transport layer counts
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.chain.block import BlockHeader, deserialize_extension
@@ -436,10 +437,11 @@ class ErrorResponse:
 
         def _retry_ms(err: BackpressureError) -> int:
             # Wire params are non-negative varints; the retry-after hint
-            # rides as integer milliseconds (0 = no hint).
+            # rides as integer milliseconds (0 = no hint), rounded up so
+            # a client honouring it never comes back early.
             if err.retry_after is None or err.retry_after <= 0:
                 return 0
-            return max(1, int(err.retry_after * 1000.0))
+            return math.ceil(err.retry_after * 1000.0)
 
         def _index(options: "tuple[str, ...]", name: str) -> int:
             try:

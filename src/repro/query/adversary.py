@@ -18,6 +18,8 @@ from __future__ import annotations
 import copy
 from typing import Callable, List, Optional
 
+from repro.crypto.hashing import HASH_SIZE
+from repro.merkle.bmt import BmtMultiProof
 from repro.node.full_node import FullNode
 from repro.query.builder import BuiltSystem
 from repro.query.fragments import (
@@ -211,21 +213,35 @@ def duplicate_transaction_entry(result: QueryResult) -> QueryResult:
     return result
 
 
+def _node_offsets(proof: BmtMultiProof):
+    """``(offset, tag, hashes, filter)`` per node of ``proof``'s wire image."""
+    offset = 0
+    for tag, hashes, bf in proof.nodes():
+        yield offset, tag, hashes, bf
+        offset += 1 + HASH_SIZE * len(hashes) + (len(bf) if bf is not None else 0)
+
+
+def _rewritten(proof: BmtMultiProof, offset: int, value: int) -> BmtMultiProof:
+    """``proof`` with the byte at ``offset`` of its image set to ``value``."""
+    raw = bytearray(proof.serialize())
+    raw[offset] = value
+    return BmtMultiProof(bytes(raw), proof.bf_bytes)
+
+
 def tamper_bmt_filter(result: QueryResult) -> QueryResult:
     """Clear a bit in a clean BMT endpoint's filter (fake inexistence)."""
     if result.segments is None:
         return result
     for segment in result.segments:
-        stack = [segment.multiproof._root]
-        while stack:
-            node = stack.pop()
-            if node.tag == 0:  # internal
-                stack.extend((node.left, node.right))
+        proof = segment.multiproof
+        for offset, _tag, hashes, bf in _node_offsets(proof):
+            if bf is None:  # internal
                 continue
-            bf = node.bf
-            for index in range(bf.size_bits):
-                if bf.bits.get(index):
-                    bf.bits.clear(index)
+            for index, byte in enumerate(bf):
+                if byte:
+                    at = offset + 1 + HASH_SIZE * len(hashes) + index
+                    # Clear the lowest set bit.
+                    segment.multiproof = _rewritten(proof, at, byte & (byte - 1))
                     return result
     return result
 
@@ -302,13 +318,10 @@ def misclassify_failed_endpoint(result: QueryResult) -> QueryResult:
     if result.segments is None:
         return result
     for segment in result.segments:
-        stack = [segment.multiproof._root]
-        while stack:
-            node = stack.pop()
-            if node.tag == 0:
-                stack.extend((node.left, node.right))
-            elif node.tag == 3:  # failed leaf
-                node.tag = 1  # claim it is clean
+        proof = segment.multiproof
+        for offset, tag, _hashes, _bf in _node_offsets(proof):
+            if tag == 3:  # failed leaf
+                segment.multiproof = _rewritten(proof, offset, 1)  # "clean"
                 # Drop the now-unexplained resolution as a liar would.
                 if segment.resolutions:
                     height = sorted(segment.resolutions)[0]

@@ -35,7 +35,7 @@ prover.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.bloom.filter import BloomFilter
 from repro.chain.transaction import Transaction
@@ -43,14 +43,11 @@ from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
 from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError, ProofError
 from repro.merkle.bmt import (
-    _TAG_CLEAN_INTERNAL,
-    _TAG_CLEAN_LEAF,
-    _TAG_FAILED_LEAF,
+    _MAX_NESTING,
+    _TAG_BYTES,
+    _TAG_HASHES,
     _TAG_INTERNAL,
-    _TAG_STUB_INTERNAL,
-    _TAG_STUB_LEAF,
     BmtMultiProof,
-    _ProofNode,
 )
 from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof, SmtLeaf
 from repro.merkle.tree import MerkleBranch
@@ -77,64 +74,35 @@ _MAX_TABLE = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# encoder sinks / decoder source
+# encoder sink / decoder source
 
 
-class _CountSink:
-    """Pass 1: count how often each dedupable blob occurs."""
+#: Token kinds of one walk: bytes written as they are, and the two blob
+#: slots (fixed-length, var_bytes-framed) that may become references.
+_RAW, _FIXED, _VAR = 0, 1, 2
 
-    __slots__ = ("counts",)
+
+class _Tokens:
+    """One walk of a batch: the body as ``(kind, bytes)`` tokens, read by
+    both the counting and the emitting pass so the batch is walked (and
+    its transactions serialized) once."""
+
+    __slots__ = ("items",)
 
     def __init__(self) -> None:
-        self.counts: Dict[bytes, int] = {}
+        self.items: "List[Tuple[int, bytes]]" = []
 
     def raw(self, data: bytes) -> None:
-        pass
+        self.items.append((_RAW, data))
 
     def varint(self, value: int) -> None:
-        pass
+        self.items.append((_RAW, write_varint(value)))
 
     def fixed_blob(self, data: bytes) -> None:
-        self._note(data)
+        self.items.append((_FIXED, data))
 
     def var_blob(self, data: bytes) -> None:
-        self._note(data)
-
-    def _note(self, data: bytes) -> None:
-        if len(data) >= _MIN_SHARED_LEN:
-            self.counts[data] = self.counts.get(data, 0) + 1
-
-
-class _EmitSink:
-    """Pass 2: emit the body, back-referencing table blobs."""
-
-    __slots__ = ("parts", "_table")
-
-    def __init__(self, table: Dict[bytes, int]) -> None:
-        self.parts: List[bytes] = []
-        self._table = table
-
-    def raw(self, data: bytes) -> None:
-        self.parts.append(data)
-
-    def varint(self, value: int) -> None:
-        self.parts.append(write_varint(value))
-
-    def fixed_blob(self, data: bytes) -> None:
-        index = self._table.get(data)
-        if index is None:
-            self.parts.append(b"\x00")
-            self.parts.append(data)
-        else:
-            self.parts.append(write_varint(index + 1))
-
-    def var_blob(self, data: bytes) -> None:
-        index = self._table.get(data)
-        if index is None:
-            self.parts.append(b"\x00")
-            self.parts.append(write_var_bytes(data))
-        else:
-            self.parts.append(write_varint(index + 1))
+        self.items.append((_VAR, data))
 
 
 class _Source:
@@ -224,29 +192,20 @@ def _walk_resolution(resolution, sink) -> None:
         raise ProofError(f"unknown resolution type {type(resolution).__name__}")
 
 
-def _walk_proof_node(node: _ProofNode, sink) -> None:
-    sink.raw(bytes([node.tag]))
-    if node.tag == _TAG_INTERNAL:
-        assert node.left is not None and node.right is not None
-        _walk_proof_node(node.left, sink)
-        _walk_proof_node(node.right, sink)
-        return
-    assert node.bf is not None
-    if node.tag == _TAG_CLEAN_INTERNAL:
-        assert node.child_hashes is not None
-        sink.fixed_blob(node.child_hashes[0])
-        sink.fixed_blob(node.child_hashes[1])
-    elif node.tag == _TAG_STUB_INTERNAL:
-        assert node.stub_hash is not None
-        sink.fixed_blob(node.stub_hash)
-    sink.fixed_blob(node.bf.to_bytes())
+def _walk_multiproof(proof: BmtMultiProof, sink) -> None:
+    for tag, hashes, bf in proof.nodes():
+        sink.raw(_TAG_BYTES[tag])
+        for node_hash in hashes:
+            sink.fixed_blob(node_hash)
+        if bf is not None:
+            sink.fixed_blob(bf)
 
 
 def _walk_segment(segment: SegmentProof, sink) -> None:
     sink.varint(segment.anchor)
     sink.varint(segment.start)
     sink.varint(segment.end)
-    _walk_proof_node(segment.multiproof._root, sink)
+    _walk_multiproof(segment.multiproof, sink)
     sink.varint(len(segment.resolutions))
     for height in sorted(segment.resolutions):
         sink.varint(height)
@@ -346,35 +305,35 @@ def _read_resolution_body(tag: int, src: _Source):
     raise EncodingError(f"unknown resolution tag {tag}")
 
 
-def _read_proof_node(
-    src: _Source, bf_bytes: int, num_hashes: int, depth: int
-) -> _ProofNode:
-    if depth > 64:
-        raise EncodingError("BMT multiproof nests implausibly deep")
-    tag = src.raw(1)[0]
-    if tag == _TAG_INTERNAL:
-        left = _read_proof_node(src, bf_bytes, num_hashes, depth + 1)
-        right = _read_proof_node(src, bf_bytes, num_hashes, depth + 1)
-        return _ProofNode(_TAG_INTERNAL, left=left, right=right)
-    child_hashes = None
-    stub_hash = None
-    if tag == _TAG_CLEAN_INTERNAL:
-        child_hashes = (src.fixed_blob(HASH_SIZE), src.fixed_blob(HASH_SIZE))
-    elif tag == _TAG_STUB_INTERNAL:
-        stub_hash = src.fixed_blob(HASH_SIZE)
-    elif tag not in (_TAG_CLEAN_LEAF, _TAG_FAILED_LEAF, _TAG_STUB_LEAF):
-        raise EncodingError(f"unknown BMT multiproof tag {tag}")
-    bf = BloomFilter.from_bytes(src.fixed_blob(bf_bytes), num_hashes)
-    return _ProofNode(tag, bf=bf, child_hashes=child_hashes, stub_hash=stub_hash)
+def _read_multiproof(src: _Source, bf_bytes: int) -> BmtMultiProof:
+    """Gather one multiproof's nodes, back-references resolved, into
+    its plain wire image (PROTOCOL.md §4.2)."""
+    parts: List[bytes] = []
+    pending = [0]  # nesting depth of each subtree still to read
+    while pending:
+        depth = pending.pop()
+        if depth > _MAX_NESTING:
+            raise EncodingError("BMT multiproof nests implausibly deep")
+        tag_byte = src.raw(1)
+        parts.append(tag_byte)
+        tag = tag_byte[0]
+        if tag == _TAG_INTERNAL:
+            pending.extend((depth + 1, depth + 1))
+            continue
+        hashes = _TAG_HASHES.get(tag)
+        if hashes is None:
+            raise EncodingError(f"unknown BMT multiproof tag {tag}")
+        for _ in range(hashes):
+            parts.append(src.fixed_blob(HASH_SIZE))
+        parts.append(src.fixed_blob(bf_bytes))
+    return BmtMultiProof(b"".join(parts), bf_bytes)
 
 
 def _read_segment(src: _Source, config: SystemConfig) -> SegmentProof:
     anchor = src.varint()
     start = src.varint()
     end = src.varint()
-    multiproof = BmtMultiProof(
-        _read_proof_node(src, config.bf_bytes, config.num_hashes, 0)
-    )
+    multiproof = _read_multiproof(src, config.bf_bytes)
     count = src.varint()
     if count > end - start + 1:
         raise EncodingError(
@@ -462,19 +421,33 @@ def encode_aggregated_batch(
             f"batch built for {batch.kind.value} aggregated with a "
             f"{config.kind.value} config"
         )
-    counter = _CountSink()
-    _walk_batch(batch, config, counter)
+    tokens = _Tokens()
+    _walk_batch(batch, config, tokens)
+    counts: Dict[bytes, int] = {}
+    for kind, data in tokens.items:
+        if kind != _RAW and len(data) >= _MIN_SHARED_LEN:
+            counts[data] = counts.get(data, 0) + 1
     table: Dict[bytes, int] = {}
-    for data, occurrences in counter.counts.items():
+    for data, occurrences in counts.items():
         if occurrences >= 2:
             table[data] = len(table)
     if len(table) > _MAX_TABLE:  # pragma: no cover - needs a absurd batch
         raise EncodingError(f"blob table overflows: {len(table)} entries")
-    emit = _EmitSink(table)
-    _walk_batch(batch, config, emit)
     parts = [write_varint(len(table))]
     parts.extend(write_var_bytes(data) for data in table)
-    parts.extend(emit.parts)
+    for kind, data in tokens.items:
+        if kind == _RAW:
+            parts.append(data)
+            continue
+        index = table.get(data)
+        if index is not None:
+            parts.append(write_varint(index + 1))
+        elif kind == _FIXED:
+            parts.append(b"\x00")
+            parts.append(data)
+        else:
+            parts.append(b"\x00")
+            parts.append(write_var_bytes(data))
     return b"".join(parts)
 
 

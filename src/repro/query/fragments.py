@@ -305,9 +305,7 @@ class SegmentProof:
         anchor = reader.varint()
         start = reader.varint()
         end = reader.varint()
-        multiproof = BmtMultiProof.deserialize(
-            reader, config.bf_bits, config.num_hashes
-        )
+        multiproof = BmtMultiProof.deserialize(reader, config.bf_bits)
         count = reader.varint()
         if count > end - start + 1:
             raise EncodingError(

@@ -14,7 +14,7 @@ Three prover-side optimizations make this the *fast* path (the original
 algorithms live on as the oracle in :mod:`repro.query.naive`, and the
 equivalence tests pin both to byte-identical output):
 
-1. **Single-pass proof generation** — ``BmtTree.multiproof`` collects
+1. **Single-pass proof generation** — ``BmtTree.frontier`` collects
    the failed-leaf heights during its own descent, eliminating the
    duplicate ``find_endpoints`` traversal per segment;
 2. **Position caching** — the item's checked-bit positions are derived
@@ -40,6 +40,7 @@ from repro.chain.address import address_item
 from repro.chain.block import Block
 from repro.chain.segments import covering_spans
 from repro.errors import QueryError
+from repro.merkle.bmt import BmtMultiProof
 from repro.query.builder import BuiltSystem
 from repro.query.config import SystemKind
 from repro.query.fragments import (
@@ -116,21 +117,24 @@ def _answer_with_segments(
             # Single pass: the in-range failed-leaf heights fall out of
             # the multiproof's own descent, left to right.
             failed: List[int] = []
-            multiproof = tree.multiproof(
+            frontier = tree.frontier(
                 item,
                 query_range=clipped,
                 positions=positions,
                 failed_heights=failed,
             )
-            cached = (multiproof, failed)
+            cached = (frontier, failed)
             # File only the whole-span proof.  A clipped one can be hit
             # again only by the same (address, first, last) on the same
             # span, which the response cache in front already absorbs;
             # filing it grows the memo by one never-read entry per cold
-            # range query (DESIGN.md §8).
+            # range query (DESIGN.md §8).  The memo keeps the frontier —
+            # references into the forest — not its encoding, which would
+            # pin a copy of every shipped filter per entry.
             if clipped == (start, end):
                 system.segment_cache[seg_key] = cached
-        multiproof, failed = cached
+        frontier, failed = cached
+        multiproof = BmtMultiProof.encode(frontier, config.bf_bytes)
         resolutions: Dict[int, object] = {
             height: _resolve_block(system, height, address)
             for height in failed

@@ -22,6 +22,20 @@ def bf_of(items):
     return BloomFilter.from_items(items, M_BITS, K)
 
 
+def node_offsets(proof):
+    """``(offset, tag, hashes, filter)`` per node of the proof's image."""
+    offset = 0
+    for tag, hashes, bf in proof.nodes():
+        yield offset, tag, hashes, bf
+        offset += 1 + 32 * len(hashes) + (len(bf) if bf is not None else 0)
+
+
+def rewritten(proof, offset, value):
+    raw = bytearray(proof.serialize())
+    raw[offset] = value
+    return BmtMultiProof(bytes(raw), proof.bf_bytes)
+
+
 def make_leaves(start, sets):
     """``sets`` is a list of item lists, one per consecutive height."""
     return [(start + i, bf_of(items)) for i, items in enumerate(sets)]
@@ -159,19 +173,12 @@ class TestMultiProof:
     def test_tampered_endpoint_filter_rejected(self, tree8):
         item = b"absent-item"
         proof = tree8.multiproof(item)
-        # Flip a set bit somewhere in an endpoint filter.
-        stack = [proof._root]
-        while stack:
-            node = stack.pop()
-            if node.tag == 0:
-                stack.extend((node.left, node.right))
-                continue
-            for index in range(node.bf.size_bits):
-                if node.bf.bits.get(index):
-                    node.bf.bits.clear(index)
-                    stack = []
-                    break
-            if not stack:
+        # Clear a set bit somewhere in an endpoint filter.
+        for offset, _tag, hashes, bf in node_offsets(proof):
+            if bf is not None and any(bf):
+                index = next(i for i, byte in enumerate(bf) if byte)
+                at = offset + 1 + 32 * len(hashes) + index
+                proof = rewritten(proof, at, bf[index] & (bf[index] - 1))
                 break
         with pytest.raises(VerificationError):
             self.verify(tree8, proof, item)
@@ -200,7 +207,7 @@ class TestMultiProof:
             proof = tree8.multiproof(item)
             payload = proof.serialize()
             reader = ByteReader(payload)
-            restored = BmtMultiProof.deserialize(reader, M_BITS, K)
+            restored = BmtMultiProof.deserialize(reader, M_BITS)
             reader.finish()
             assert restored.serialize() == payload
             self.verify(tree8, restored, item)
@@ -211,13 +218,13 @@ class TestMultiProof:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(EncodingError):
-            BmtMultiProof.deserialize(ByteReader(b"\x09"), M_BITS, K)
+            BmtMultiProof.deserialize(ByteReader(b"\x09"), M_BITS)
 
     def test_truncated_rejected(self, tree8):
         payload = tree8.multiproof(b"absent").serialize()
         with pytest.raises(EncodingError):
             reader = ByteReader(payload[:-1])
-            BmtMultiProof.deserialize(reader, M_BITS, K)
+            BmtMultiProof.deserialize(reader, M_BITS)
             reader.finish()
 
 
@@ -262,7 +269,7 @@ class TestRestrictedMultiProof:
         proof = tree8.multiproof(b"hot", query_range=(3, 6))
         payload = proof.serialize()
         reader = ByteReader(payload)
-        restored = BmtMultiProof.deserialize(reader, M_BITS, K)
+        restored = BmtMultiProof.deserialize(reader, M_BITS)
         reader.finish()
         assert restored.serialize() == payload
         self.verify(tree8, restored, b"hot", (3, 6))
@@ -303,17 +310,12 @@ class TestRestrictedMultiProof:
     def test_stub_hash_is_authenticated(self, tree8):
         """Tampering with an internal stub's hash breaks the root."""
         proof = tree8.multiproof(b"hot", query_range=(5, 8))
-        stack = [proof._root]
-        tampered = False
-        while stack and not tampered:
-            node = stack.pop()
-            if node.tag == 0:
-                stack.extend((node.left, node.right))
-            elif node.stub_hash is not None:
-                node.stub_hash = bytes(32)
-                tampered = True
-        if not tampered:
+        stubs = [
+            offset for offset, tag, _h, _bf in node_offsets(proof) if tag == 5
+        ]
+        if not stubs:
             pytest.skip("no internal stub in this proof shape")
+        proof = rewritten(proof, stubs[0] + 1, proof.serialize()[stubs[0] + 1] ^ 1)
         with pytest.raises(VerificationError):
             self.verify(tree8, proof, b"hot", (5, 8))
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, RateLimitedError
 from repro.node.messages import (
     BatchQueryRequest,
     BatchQueryResponse,
+    ErrorResponse,
     HeadersRequest,
     HeadersResponse,
     QueryRequest,
@@ -124,3 +125,14 @@ class TestHeadersMessages:
         )
         # LVQ headers are 144B vs 112B for the bf-hash strawman variant.
         assert lvq_bytes > straw_bytes
+
+
+class TestErrorResponseRetryHint:
+    @pytest.mark.parametrize(
+        "seconds,millis", [(0.0987, 99), (0.0001, 1), (0.25, 250), (0, 0)]
+    )
+    def test_retry_hint_rounds_up_to_whole_milliseconds(self, seconds, millis):
+        """A client that sleeps the hinted milliseconds must not come
+        back before the server's own retry-after has elapsed."""
+        error = RateLimitedError("eager", retry_after=seconds)
+        assert ErrorResponse.from_exception(error).params == (millis,)

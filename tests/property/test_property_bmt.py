@@ -84,7 +84,7 @@ class TestBmtProperties:
         proof = tree.multiproof(probe)
         payload = proof.serialize()
         reader = ByteReader(payload)
-        restored = BmtMultiProof.deserialize(reader, SIZE_BITS, K)
+        restored = BmtMultiProof.deserialize(reader, SIZE_BITS)
         reader.finish()
         assert restored.serialize() == payload
         restored.verify(tree.root.hash, probe, 1, len(blocks), SIZE_BITS, K)

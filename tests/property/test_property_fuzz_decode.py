@@ -5,6 +5,8 @@ must either return a valid object or raise a :class:`ReproError`
 subclass — never an uncontrolled ``IndexError``/``struct.error``/
 ``MemoryError``.  Two generators: pure random bytes, and random
 mutations of valid payloads (which reach much deeper into the parsers).
+A mutated payload that decodes must then either be rejected by the
+verifier or verify to exactly the honest history.
 """
 
 import pytest
@@ -19,14 +21,17 @@ from repro.merkle.bmt import BmtMultiProof
 from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof
 from repro.merkle.tree import MerkleBranch
 from repro.node.messages import (
+    AggregatedBatchResponse,
     HeadersRequest,
     HeadersResponse,
     QueryRequest,
     QueryResponse,
 )
+from repro.query.batch import answer_batch_query, verify_batch_result
 from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
 from repro.query.result import QueryResult
+from repro.query.verifier import verify_result
 
 CONFIG = SystemConfig.lvq(bf_bytes=192, segment_len=16)
 
@@ -45,9 +50,7 @@ def _decoders():
         ),
         (
             "bmt_multiproof",
-            lambda raw: BmtMultiProof.deserialize(
-                ByteReader(raw), CONFIG.bf_bits, CONFIG.num_hashes
-            ),
+            lambda raw: BmtMultiProof.deserialize(ByteReader(raw), CONFIG.bf_bits),
         ),
         (
             "block_header",
@@ -69,6 +72,13 @@ def _decoders():
         ),
         ("batch_request", _batch_request),
         ("batch_result", _batch_result),
+        (
+            # Tag byte supplied, so the random bytes reach the blob table.
+            "aggregated_batch_response",
+            lambda raw: AggregatedBatchResponse.deserialize(
+                bytes([AggregatedBatchResponse.type_tag]) + raw, CONFIG
+            ),
+        ),
     ]
 
 
@@ -94,35 +104,79 @@ def test_random_bytes_fail_cleanly(name, decoder, raw):
         pass  # the only acceptable failure mode
 
 
-@given(
-    flips=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10_000_000),
-            st.integers(min_value=0, max_value=7),
-        ),
-        min_size=1,
-        max_size=4,
-    )
+FLIPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10_000_000),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=4,
 )
-@settings(
+MUTATION_SETTINGS = settings(
     max_examples=80,
     deadline=None,
     # The fixtures are read-only (session-scoped chain); no reset needed.
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+def mutate(payload, flips):
+    mutated = bytearray(payload)
+    for position, bit in flips:
+        mutated[position % len(mutated)] ^= 1 << bit
+    return bytes(mutated)
+
+
+def history(verified):
+    return [(height, tx.txid()) for height, tx in verified.transactions]
+
+
+@given(flips=FLIPS)
+@MUTATION_SETTINGS
 def test_mutated_result_payload_fails_cleanly(
     lvq_system, probe_addresses, flips
 ):
-    honest = answer_query(lvq_system, probe_addresses["Addr5"])
-    payload = bytearray(honest.serialize(lvq_system.config))
-    for position, bit in flips:
-        payload[position % len(payload)] ^= 1 << bit
+    config = lvq_system.config
+    address = probe_addresses["Addr5"]
+    honest = answer_query(lvq_system, address)
+    expected = history(verify_result(honest, lvq_system.headers(), config))
+    payload = mutate(honest.serialize(config), flips)
     try:
-        result = QueryResult.deserialize(bytes(payload), lvq_system.config)
-        # If it parsed, verification must also fail cleanly or accept an
-        # identical answer — never crash.
-        from repro.query.verifier import verify_result
-
-        verify_result(result, lvq_system.headers(), lvq_system.config)
+        result = QueryResult.deserialize(payload, config)
+        verified = verify_result(
+            result,
+            lvq_system.headers(),
+            config,
+            address,
+            (honest.first_height, honest.last_height),
+        )
     except ReproError:
-        pass
+        return
+    assert history(verified) == expected
+
+
+@given(flips=FLIPS)
+@MUTATION_SETTINGS
+def test_mutated_aggregated_batch_fails_cleanly(
+    lvq_system, probe_addresses, flips
+):
+    config = lvq_system.config
+    addresses = [probe_addresses[name] for name in ("Addr3", "Addr4", "Addr5")]
+    span = (10, 40)
+    honest = answer_batch_query(lvq_system, addresses, *span)
+    headers = lvq_system.headers()
+    expected = {
+        address: history(verified)
+        for address, verified in verify_batch_result(
+            honest, headers, config, addresses, span
+        ).items()
+    }
+    frame = mutate(AggregatedBatchResponse(honest).serialize(config), flips)
+    try:
+        batch = AggregatedBatchResponse.deserialize(frame, config).batch
+        verified = verify_batch_result(batch, headers, config, addresses, span)
+    except ReproError:
+        return
+    assert {
+        address: history(histories) for address, histories in verified.items()
+    } == expected

@@ -2,7 +2,8 @@
 
 import string
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.transaction import Transaction, TxInput, TxOutput
@@ -14,6 +15,8 @@ from repro.crypto.encoding import (
     write_var_bytes,
     write_varint,
 )
+from repro.crypto.hashing import sha256d
+from repro.errors import EncodingError
 
 addr_text = st.text(
     alphabet=string.digits + string.ascii_letters, min_size=1, max_size=34
@@ -109,3 +112,130 @@ class TestTransactionRoundtrips:
         assert tx.sent_by(probe) >= 0
         if not tx.involves(probe):
             assert tx.received_by(probe) == 0 and tx.sent_by(probe) == 0
+
+
+def _varint_any_width(draw, value):
+    """``value`` as a CompactSize varint of any width that holds it —
+    canonical or not."""
+    widths = [
+        (prefix, size)
+        for prefix, size in ((b"", 1), (b"\xfd", 2), (b"\xfe", 4), (b"\xff", 8))
+        if value < 1 << (8 * size) and (prefix or value < 0xFD)
+    ]
+    prefix, size = draw(st.sampled_from(widths))
+    return prefix + value.to_bytes(size, "little")
+
+
+@st.composite
+def transaction_shaped_bytes(draw):
+    """Bytes laid out like a transaction, but with address fields of
+    arbitrary bytes and, in half the examples, varints of any width."""
+    small = st.integers(min_value=0, max_value=2**20)
+    inflate = draw(st.booleans())
+
+    def varint(value):
+        if inflate:
+            return _varint_any_width(draw, value)
+        return write_varint(value)
+
+    def address():
+        raw = draw(
+            st.one_of(
+                st.text(max_size=6).map(
+                    lambda text: text.encode("utf-8", "surrogatepass")
+                ),
+                st.binary(max_size=6),
+            )
+        )
+        return varint(len(raw)) + raw
+
+    parts = [varint(draw(st.integers(min_value=0, max_value=4)))]
+    inputs = draw(st.integers(min_value=1, max_value=3))
+    parts.append(varint(inputs))
+    for _ in range(inputs):
+        parts.append(draw(st.binary(min_size=32, max_size=32)))
+        parts.append(varint(draw(small)))
+        parts.append(address())
+        parts.append(varint(draw(small)))
+    outputs = draw(st.integers(min_value=1, max_value=3))
+    parts.append(varint(outputs))
+    for _ in range(outputs):
+        parts.append(varint(draw(small)))
+        parts.append(address())
+    return b"".join(parts)
+
+
+class TestCanonicalTransactionDecode:
+    """``Transaction.from_bytes`` takes the txid of the bytes it was
+    given; that is sound only because a payload decodes at all only if
+    it is exactly the serialization of what it decodes to."""
+
+    @given(
+        inputs=st.lists(
+            st.builds(
+                TxInput,
+                prev_txid=st.binary(min_size=32, max_size=32),
+                prev_index=st.integers(min_value=0, max_value=2**32 - 1),
+                address=st.text(max_size=8),
+                value=st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        outputs=st.lists(
+            st.builds(
+                TxOutput,
+                address=st.text(min_size=1, max_size=8),
+                value=st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        version=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=120)
+    def test_received_bytes_are_the_serialization(self, inputs, outputs, version):
+        raw = Transaction(inputs, outputs, version).serialize()
+        decoded = Transaction.from_bytes(raw)
+        assert decoded.txid() == sha256d(raw)
+        assert decoded.serialize() == raw
+
+    @given(raw=transaction_shaped_bytes())
+    @settings(max_examples=300)
+    def test_whatever_decodes_reserializes_to_itself(self, raw):
+        try:
+            decoded = Transaction.from_bytes(raw)
+        except EncodingError:
+            event("rejected")
+            return
+        event("decoded")
+        assert decoded.serialize() == raw
+        assert decoded.txid() == sha256d(raw)
+
+    def _tx(self, address="1a"):
+        return Transaction(
+            [TxInput(b"\x11" * 32, 0, address, 5)], [TxOutput(address, 5)]
+        )
+
+    def test_non_canonical_varint_rejected(self):
+        raw = self._tx().serialize()
+        assert raw[0] == 1  # version 1, one-byte form
+        for inflated in (b"\xfd\x01\x00", b"\xfe\x01\x00\x00\x00"):
+            with pytest.raises(EncodingError):
+                Transaction.from_bytes(inflated + raw[1:])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"\xc0\xaf", b"\xe0\x80\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"],
+        ids=["overlong-2", "overlong-3", "surrogate", "above-max"],
+    )
+    def test_invalid_utf8_address_rejected(self, bad):
+        marker = "é".encode("utf-8")
+        raw = self._tx("é").serialize()
+        assert raw.count(marker) == 2
+        with pytest.raises(EncodingError):
+            Transaction.from_bytes(
+                raw.replace(
+                    bytes([len(marker)]) + marker, bytes([len(bad)]) + bad, 1
+                )
+            )

@@ -1,0 +1,77 @@
+"""What a light node builds to verify a BMT answer, gated in tier 1.
+
+A multiproof is verified straight off its wire bytes (DESIGN.md, "Verifier
+cost"): each shipped filter is hashed as received and read into one
+``int``, and each recomputed parent is an ``int`` OR turned back into
+bytes once for its hash.  This decodes and verifies the golden vectors
+and fails if any Bloom-filter or bit-array object is constructed on the
+way — the per-node round trip the verifier used to make — so a change
+that brings it back fails here, with no harness to run.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from repro.bloom.bitarray import BitArray
+from repro.bloom.filter import BloomFilter
+from repro.node.messages import AggregatedBatchResponse, QueryResponse
+from repro.query.batch import verify_batch_result
+from repro.query.verifier import verify_result
+
+VECTORS = pathlib.Path(__file__).resolve().parents[1] / "vectors"
+
+
+def _load(name):
+    vector = json.loads((VECTORS / f"{name}.json").read_text())
+    request = vector["request"]
+    return vector, bytes.fromhex(vector["hex"]), (
+        request["first_height"],
+        request["last_height"],
+    )
+
+
+@pytest.fixture()
+def constructed(monkeypatch):
+    """Names of the filter classes constructed while the test runs."""
+    built = []
+    for cls in (BloomFilter, BitArray):
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_counting_sees_a_filter_construction(constructed):
+    BloomFilter(64, 3)
+    assert constructed == ["BloomFilter", "BitArray"]
+
+
+def test_bmt_query_response_verifies_without_filter_objects(
+    lvq_system, constructed
+):
+    config = lvq_system.config
+    headers = lvq_system.headers()
+    vector, frame, span = _load("bmt_query_response")
+    del constructed[:]
+    result = QueryResponse.deserialize(frame, config).result
+    verify_result(result, headers, config, vector["request"]["address"], span)
+    assert constructed == []
+
+
+def test_aggregated_batch_verifies_without_filter_objects(
+    lvq_system, constructed
+):
+    config = lvq_system.config
+    headers = lvq_system.headers()
+    vector, frame, span = _load("aggregated_batch_response")
+    del constructed[:]
+    batch = AggregatedBatchResponse.deserialize(frame, config).batch
+    verify_batch_result(
+        batch, headers, config, vector["request"]["addresses"], span
+    )
+    assert constructed == []

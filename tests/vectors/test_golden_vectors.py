@@ -1,0 +1,184 @@
+"""Golden wire vectors: committed frames the codec and the verifier must
+keep reading exactly as they did when the frames were written.
+
+Each JSON file in this directory holds one response frame, the request
+that produced it from the ``lvq_system`` fixture, and the ``(height,
+txid)`` history a light node accepts from it (``make_vectors.py`` wrote
+them; nothing rewrites them).  The tests pin that the prover still
+writes exactly those bytes, that they decode and re-encode to
+themselves, that they verify to the recorded history, and — for the
+BMT vector — that flipping any single bit of a multiproof's tags,
+hashes or filters is rejected.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from repro.errors import ReproError
+from repro.node.messages import AggregatedBatchResponse, QueryResponse
+from repro.query.batch import answer_batch_query, verify_batch_result
+from repro.query.fragments import ExistenceResolution, FpmResolution
+from repro.query.prover import answer_query
+from repro.query.verifier import verify_result
+
+HERE = pathlib.Path(__file__).resolve().parent
+
+
+def load(name):
+    return json.loads((HERE / f"{name}.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def bmt_vector():
+    return load("bmt_query_response")
+
+
+@pytest.fixture(scope="module")
+def batch_vector():
+    return load("aggregated_batch_response")
+
+
+def trusted_headers(system, vector):
+    headers = system.headers()
+    assert headers[-1].block_id().hex() == vector["chain"]["tip_block_id"], (
+        "the lvq_system fixture no longer builds the chain the vectors "
+        "were written from"
+    )
+    return headers
+
+
+def request_range(vector):
+    return vector["request"]["first_height"], vector["request"]["last_height"]
+
+
+def history(verified):
+    return [[height, tx.txid().hex()] for height, tx in verified.transactions]
+
+
+class TestBmtQueryResponseVector:
+    def test_prover_writes_the_vector(self, lvq_system, bmt_vector):
+        trusted_headers(lvq_system, bmt_vector)
+        address = bmt_vector["request"]["address"]
+        result = answer_query(lvq_system, address, *request_range(bmt_vector))
+        frame = QueryResponse(result).serialize(lvq_system.config)
+        assert frame.hex() == bmt_vector["hex"]
+
+    def test_decode_then_serialize_is_identity(self, lvq_system, bmt_vector):
+        config = lvq_system.config
+        frame = bytes.fromhex(bmt_vector["hex"])
+        assert QueryResponse.deserialize(frame, config).serialize(config) == frame
+
+    def test_verifies_to_the_recorded_history(self, lvq_system, bmt_vector):
+        config = lvq_system.config
+        headers = trusted_headers(lvq_system, bmt_vector)
+        result = QueryResponse.deserialize(
+            bytes.fromhex(bmt_vector["hex"]), config
+        ).result
+        verified = verify_result(
+            result,
+            headers,
+            config,
+            bmt_vector["request"]["address"],
+            request_range(bmt_vector),
+        )
+        assert history(verified) == bmt_vector["verified"]
+
+    def test_holds_every_node_tag_and_both_resolution_kinds(
+        self, lvq_system, bmt_vector
+    ):
+        result = QueryResponse.deserialize(
+            bytes.fromhex(bmt_vector["hex"]), lvq_system.config
+        ).result
+        tags = {
+            tag
+            for segment in result.segments
+            for tag, _hashes, _bf in segment.multiproof.nodes()
+        }
+        kinds = {
+            type(resolution)
+            for segment in result.segments
+            for resolution in segment.resolutions.values()
+        }
+        assert tags == set(range(6))
+        assert kinds == {ExistenceResolution, FpmResolution}
+
+
+class TestAggregatedBatchResponseVector:
+    def test_prover_writes_the_vector(self, lvq_system, batch_vector):
+        trusted_headers(lvq_system, batch_vector)
+        batch = answer_batch_query(
+            lvq_system,
+            batch_vector["request"]["addresses"],
+            *request_range(batch_vector),
+        )
+        frame = AggregatedBatchResponse(batch).serialize(lvq_system.config)
+        assert frame.hex() == batch_vector["hex"]
+
+    def test_decode_then_serialize_is_identity(self, lvq_system, batch_vector):
+        config = lvq_system.config
+        frame = bytes.fromhex(batch_vector["hex"])
+        decoded = AggregatedBatchResponse.deserialize(frame, config)
+        assert decoded.serialize(config) == frame
+
+    def test_verifies_to_the_recorded_histories(self, lvq_system, batch_vector):
+        config = lvq_system.config
+        headers = trusted_headers(lvq_system, batch_vector)
+        batch = AggregatedBatchResponse.deserialize(
+            bytes.fromhex(batch_vector["hex"]), config
+        ).batch
+        addresses = batch_vector["request"]["addresses"]
+        histories = verify_batch_result(
+            batch, headers, config, addresses, request_range(batch_vector)
+        )
+        assert {
+            address: history(histories[address]) for address in addresses
+        } == batch_vector["verified"]
+
+
+def flip_sites(frame, result):
+    """``(offset, bit, what)``: every bit of every node tag, and one bit
+    in the middle of every child hash, stub hash and filter, of every
+    multiproof in ``frame``."""
+    for segment in result.segments:
+        raw = segment.multiproof.serialize()
+        offset = frame.index(raw)
+        for tag, hashes, bf in segment.multiproof.nodes():
+            for bit in range(8):
+                yield offset, bit, f"tag {tag}"
+            offset += 1
+            for node_hash in hashes:
+                yield offset + len(node_hash) // 2, 3, f"hash of tag {tag}"
+                offset += len(node_hash)
+            if bf is not None:
+                yield offset + len(bf) // 2, 5, f"filter of tag {tag}"
+                offset += len(bf)
+
+
+def test_every_single_bit_flip_in_the_bmt_vector_is_rejected(
+    lvq_system, bmt_vector
+):
+    config = lvq_system.config
+    headers = trusted_headers(lvq_system, bmt_vector)
+    frame = bytes.fromhex(bmt_vector["hex"])
+    honest = QueryResponse.deserialize(frame, config).result
+    accepted = []
+    sites = list(flip_sites(frame, honest))
+    for offset, bit, what in sites:
+        mutated = bytearray(frame)
+        mutated[offset] ^= 1 << bit
+        try:
+            result = QueryResponse.deserialize(bytes(mutated), config).result
+            verified = verify_result(
+                result,
+                headers,
+                config,
+                bmt_vector["request"]["address"],
+                request_range(bmt_vector),
+            )
+        except ReproError:
+            continue
+        accepted.append((offset, bit, what, history(verified)))
+    assert len(sites) > 100
+    assert accepted == []
