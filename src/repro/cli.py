@@ -321,7 +321,7 @@ def cmd_serve(args) -> int:
         rate_limit=args.rate_limit if args.rate_limit > 0 else None,
         rate_burst=args.rate_burst if args.rate_burst > 0 else None,
     )
-    registry = SubscriptionRegistry(node, max_outbox=args.push_outbox)
+    registry = SubscriptionRegistry(node)
     server = NetServer(
         query_server,
         host=args.host,

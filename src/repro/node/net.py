@@ -3,14 +3,13 @@
 Everything before this module exchanged frames through a function call;
 this is the piece that puts them on a real socket.  The wire format is
 deliberately minimal — a 4-byte big-endian length prefix followed by one
-existing wire-tag frame (tags 1–13, or a FRAME_ZLIB/FRAME_ZSTD
-compressed frame) — so every byte after the prefix is already covered by
-the strictness and chaos suites.
+existing wire-tag frame (a message tag, or a FRAME_ZLIB compressed
+frame) — so every byte after the prefix is already covered by the
+strictness and chaos suites.
 
 * :class:`NetServer` — serves a :class:`~repro.node.server.QueryServer`
-  (or a bare :class:`~repro.node.full_node.FullNode`) over TCP with
-  per-connection read/write deadlines, idle-connection reaping, a
-  max-concurrent-connections gate that rejects with a typed
+  over TCP with per-connection read/write deadlines, idle-connection
+  reaping, a max-concurrent-connections gate that rejects with a typed
   :class:`~repro.errors.ConnectionLimitError` frame, graceful drain, and
   an :meth:`NetServer.abort` hard-kill for crash testing.  Handler
   failures cross the wire as :class:`~repro.node.messages.ErrorResponse`
@@ -45,11 +44,10 @@ from repro.errors import (
 )
 from repro.node import messages as _messages
 from repro.node.faults import FaultKind, FaultSchedule
-from repro.node.server import _DISPATCH
+from repro.node.server import _SUBSCRIPTION_TAGS
 from repro.node.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_ZLIB,
-    FRAME_ZSTD,
     compress_frame,
     decompress_frame,
 )
@@ -133,51 +131,6 @@ class NetServerStats:
 
     def as_dict(self) -> "dict[str, int]":
         return {name: getattr(self, name) for name in self.__slots__}
-
-
-class _Target:
-    """Adapts a QueryServer (worker pool) or bare FullNode to one
-    ``serve(payload) -> bytes`` coroutine."""
-
-    __slots__ = ("query_server", "node")
-
-    def __init__(self, target) -> None:
-        if hasattr(target, "submit"):
-            self.query_server = target
-            self.node = target.node
-        else:
-            self.query_server = None
-            self.node = target
-
-    @property
-    def tip_height(self) -> int:
-        return self.node.tip_height
-
-    async def serve(
-        self, payload: bytes, client: Optional[str] = None
-    ) -> bytes:
-        if self.query_server is not None:
-            # submit() raises synchronously on admission refusal (rate
-            # limited / shed / queue full) or unknown tag; the caller
-            # turns any of them into a typed error frame.
-            future = self.query_server.submit(payload, client)
-            return await asyncio.wrap_future(future)
-        if not payload:
-            raise QueryError("empty request payload")
-        handler_name = _DISPATCH.get(payload[0])
-        if handler_name is None:
-            raise QueryError(f"unknown request tag {payload[0]}")
-        handler = getattr(self.node, handler_name)
-        return await asyncio.get_running_loop().run_in_executor(
-            None, handler, payload
-        )
-
-
-#: Request tags routed to the subscription registry instead of _Target.
-_SUBSCRIPTION_TAGS = (
-    _messages.SubscribeRequest.type_tag,
-    _messages.UnsubscribeRequest.type_tag,
-)
 
 
 class _PushChannel:
@@ -291,11 +244,12 @@ class _ConnState:
 class NetServer:
     """One node served over loopback/LAN TCP with defensive deadlines.
 
-    ``target`` is a :class:`~repro.node.server.QueryServer` (requests go
-    through its bounded queue and worker pool, so overload surfaces as a
-    typed :class:`~repro.errors.ServerOverloadedError` frame) or a bare
-    :class:`~repro.node.full_node.FullNode` (requests run on the loop's
-    default executor — the lightweight shape the chaos matrix uses).
+    ``target`` is a :class:`~repro.node.server.QueryServer`, or anything
+    with its ``submit(payload, client) -> Future`` and ``node`` shape:
+    requests go through its admission control, bounded queue and worker
+    pool, so a refusal surfaces as a typed
+    :class:`~repro.errors.BackpressureError` frame.  Pings and hellos
+    read the tip from ``target.node``.
 
     Deadline semantics (PROTOCOL.md §9.3):
 
@@ -316,7 +270,9 @@ class NetServer:
     subscribe/unsubscribe requests are answered inline, and a per-
     connection push task interleaves server-initiated frames with the
     request/response traffic (serialized by a per-connection write
-    lock).  The idle deadline still applies — a subscriber keeps its
+    lock).  ``push_outbox`` bounds each subscriber connection's queued
+    push frames; overflowing it evicts the subscriber.  The idle
+    deadline still applies — a subscriber keeps its
     connection alive with keepalive pings, and one that goes quiet is
     reaped like any other connection (counted separately in
     ``stats.subscribers_reaped``).
@@ -343,10 +299,11 @@ class NetServer:
         if max_frame_bytes < 1:
             raise ValueError(f"bad frame limit {max_frame_bytes}")
         if push_outbox < 2:
+            # Room for at least one update plus the eviction frame's slot.
             raise ValueError(f"push outbox bound must be >= 2, {push_outbox}")
         if push_buffer_bytes is not None and push_buffer_bytes < 0:
             raise ValueError(f"bad push buffer bound {push_buffer_bytes}")
-        self._target = _Target(target)
+        self._target = target
         self.host = host
         self.port = port
         self.max_connections = max_connections
@@ -649,23 +606,20 @@ class NetServer:
         """One request frame → one response frame, errors included.
 
         Compression is negotiated per frame by mirroring: a request that
-        arrived compressed gets its response compressed with the same
-        codec (§9.5); plain requests get plain responses.
+        arrived zlib-compressed gets a zlib-compressed response (§9.5);
+        plain requests get plain responses.  A reserved-tag frame is
+        refused by ``decompress_frame`` and never reaches dispatch.
         """
-        codec: Optional[str] = None
+        compressed = frame[0] == FRAME_ZLIB
         try:
-            if frame and frame[0] in (FRAME_ZLIB, FRAME_ZSTD):
-                codec = "zstd" if frame[0] == FRAME_ZSTD else "zlib"
-                payload = decompress_frame(frame, self.max_frame_bytes)
-            else:
-                payload = frame
+            payload = decompress_frame(frame, self.max_frame_bytes)
             if payload and payload[0] in _SUBSCRIPTION_TAGS:
                 response = await self._handle_subscription(payload, state)
             elif payload and payload[0] == _messages.PingRequest.type_tag:
                 ping = _messages.PingRequest.deserialize(payload)
                 self.stats.pings += 1
                 response = _messages.PongResponse(
-                    ping.nonce, self._target.tip_height
+                    ping.nonce, self._target.node.tip_height
                 ).serialize()
             elif payload and payload[0] == _messages.HelloRequest.type_tag:
                 # A hello narrows this connection's rate-limit identity
@@ -676,10 +630,15 @@ class NetServer:
                 state.client_id = hello.client_id
                 self.stats.hellos += 1
                 response = _messages.PongResponse(
-                    0, self._target.tip_height
+                    0, self._target.node.tip_height
                 ).serialize()
             else:
-                response = await self._target.serve(payload, state.client)
+                # submit() raises synchronously on admission refusal (rate
+                # limited / shed / queue full) or an unknown tag; the
+                # handlers below turn either into a typed error frame.
+                response = await asyncio.wrap_future(
+                    self._target.submit(payload, state.client)
+                )
         except ReproError as error:
             self.stats.errors_sent += 1
             response = _messages.ErrorResponse.from_exception(error).serialize()
@@ -689,11 +648,11 @@ class NetServer:
                 "TransportError",
                 f"internal server error: {type(error).__name__}",
             ).serialize()
-        if codec is not None:
+        if compressed:
             plain_size = len(response)
             try:
                 response = compress_frame(
-                    response, codec, max_frame_bytes=self.max_frame_bytes
+                    response, max_frame_bytes=self.max_frame_bytes
                 )
             except EncodingError as error:
                 self.stats.errors_sent += 1

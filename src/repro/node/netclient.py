@@ -57,8 +57,6 @@ from repro.node.messages import (
 from repro.node.net import FRAME_HEADER
 from repro.node.transport import (
     DEFAULT_MAX_FRAME_BYTES,
-    FRAME_ZLIB,
-    FRAME_ZSTD,
     compress_frame,
     decompress_frame,
 )
@@ -311,7 +309,11 @@ class ClientConnection:
 
 
 class ConnectionPool:
-    """Reconnecting bounded pool of framed connections to one server."""
+    """Reconnecting bounded pool of framed connections to one server.
+
+    ``codec`` is ``None`` (plain frames) or ``"zlib"`` (requests are
+    compressed per PROTOCOL.md §8.3 and the server mirrors it).
+    """
 
     def __init__(
         self,
@@ -332,6 +334,8 @@ class ConnectionPool:
     ) -> None:
         if size < 1:
             raise ValueError(f"pool needs at least one slot, got {size}")
+        if codec not in (None, "zlib"):
+            raise ValueError(f"unknown frame codec {codec!r}")
         self.address = (address[0], int(address[1]))
         self.size = size
         self.connect_timeout = connect_timeout
@@ -523,7 +527,7 @@ class ConnectionPool:
         self._wait_deferred()
         if self.codec is not None:
             frame = compress_frame(
-                payload, self.codec, max_frame_bytes=self.max_frame_bytes
+                payload, max_frame_bytes=self.max_frame_bytes
             )
         else:
             if len(payload) > self.max_frame_bytes:

@@ -57,7 +57,8 @@ _DISPATCH = {
     _messages._MSG_AGG_BATCH_REQUEST: "handle_batch_query",
 }
 
-#: Connection-scoped tags a queue-based server cannot serve (see submit).
+#: Connection-scoped tags: NetServer answers them on the connection, and
+#: the queue refuses them (see submit).
 _SUBSCRIPTION_TAGS = (
     _messages._MSG_SUBSCRIBE_REQUEST,
     _messages._MSG_UNSUBSCRIBE_REQUEST,

@@ -44,7 +44,7 @@ import random
 import threading
 import time
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.crypto.encoding import ByteReader
@@ -150,8 +150,10 @@ class SubscriptionRegistry:
 
     ``push`` enqueues one frame; ``evict`` reclaims the queued frames,
     replaces them with one final frame built from the drop count, and
-    returns that count.  The TCP transport's push channel implements it
-    against an asyncio writer task; tests implement it with a list.
+    returns that count.  The channel owns the outbox bound: the TCP
+    transport's push channel implements it against an asyncio writer
+    task, bounded by ``NetServer(push_outbox=)``; tests implement it
+    with a list.
 
     Fan-out runs inside the system's append/reorg listeners — i.e. under
     the write lock — which is deadlock-free because the RWLock lets the
@@ -159,14 +161,10 @@ class SubscriptionRegistry:
     it is what pins ``batch.tip_height`` to the pushed height.
     """
 
-    def __init__(self, node, *, max_outbox: int = 256) -> None:
-        if max_outbox < 2:
-            # Room for at least one update plus the eviction frame's slot.
-            raise ValueError(f"outbox bound must be >= 2, got {max_outbox}")
+    def __init__(self, node) -> None:
         self.node = node
         self.system = node.system
         self.config = node.system.config
-        self.max_outbox = max_outbox
         self.stats = SubscriptionStats()
         self._lock = threading.Lock()
         self._subs: Dict[int, _ServerSubscription] = {}

@@ -7,7 +7,7 @@ direction's counter, so experiments read real serialized sizes rather
 than estimates.  A configurable byte budget lets failure-injection tests
 simulate a link that dies mid-query.
 
-This module also hosts the optional per-frame compression layer
+This module also hosts the optional per-frame zlib compression layer
 (PROTOCOL.md §8.3): :func:`compress_frame` / :func:`decompress_frame`
 implement the self-describing compressed-frame format, and
 :class:`CompressedTransport` wraps any transport so both directions are
@@ -24,19 +24,12 @@ from typing import Optional
 from repro.crypto.encoding import ByteReader, write_varint
 from repro.errors import EncodingError, TransportError
 
-try:  # pragma: no cover - exercised only where the library exists
-    import zstandard as _zstd
-except ImportError:  # the baked image ships no zstd binding
-    _zstd = None
-
-#: True when the optional zstd codec can actually be used.
-HAVE_ZSTD = _zstd is not None
-
 #: Compressed-frame wire tags.  Plain message tags occupy the low range
 #: (see :mod:`repro.node.messages`); a receiver dispatches on the first
-#: byte, so these must never collide with a message tag.
+#: byte, so these must never collide with a message tag.  ``0x11`` is
+#: reserved (PROTOCOL.md §8.3) and refused on receipt.
 FRAME_ZLIB = 0x10
-FRAME_ZSTD = 0x11
+FRAME_RESERVED = 0x11
 
 #: Frames smaller than this ship raw by default — the codec header plus
 #: deflate overhead would only grow them.
@@ -48,8 +41,6 @@ MIN_COMPRESS_SIZE = 64
 #: cannot balloon memory.  Configurable per transport/connection and
 #: enforced symmetrically on send and receive.
 DEFAULT_MAX_FRAME_BYTES = 32 << 20
-
-_CODECS = ("zlib", "zstd")
 
 
 class TransportStats:
@@ -235,22 +226,19 @@ class InProcessTransport:
 
 def compress_frame(
     payload: bytes,
-    codec: str = "zlib",
     min_size: int = MIN_COMPRESS_SIZE,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> bytes:
-    """Wrap ``payload`` in a compressed frame when that actually helps.
+    """Wrap ``payload`` in a zlib frame when that actually helps.
 
     The result is self-describing: either the original frame (first byte
-    is a plain message tag) or ``[codec tag][varint raw_len][codec
-    stream]``.  Frames below ``min_size``, and frames the codec fails to
-    shrink, pass through untouched — negotiation is per frame, by tag.
-    A frame larger than ``max_frame_bytes`` is refused on the *send*
-    side with the same typed error the receiver would raise, so a peer
-    with a smaller limit is never fed a frame it must reject.
+    is a plain message tag) or ``[0x10][varint raw_len][zlib stream]``.
+    Frames below ``min_size``, and frames deflate fails to shrink, pass
+    through untouched — negotiation is per frame, by tag.  A frame
+    larger than ``max_frame_bytes`` is refused on the *send* side with
+    the same typed error the receiver would raise, so a peer with a
+    smaller limit is never fed a frame it must reject.
     """
-    if codec not in _CODECS:
-        raise EncodingError(f"unknown compression codec {codec!r}")
     if len(payload) > max_frame_bytes:
         raise EncodingError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -258,18 +246,13 @@ def compress_frame(
         )
     if len(payload) < min_size:
         return payload
-    if codec == "zstd":
-        if _zstd is None:
-            raise EncodingError("zstd codec requested but library unavailable")
-        tag, body = FRAME_ZSTD, _zstd.ZstdCompressor().compress(payload)
-    else:
-        # Entropy coding only: a frame is digests and near-half-fill
-        # merged filters, and aggregation already removed every repeated
-        # blob, so LZ77 match search took 8x the time to find nothing
-        # (DESIGN.md §10).  Still an ordinary RFC 1950 stream.
-        deflate = zlib.compressobj(strategy=zlib.Z_HUFFMAN_ONLY)
-        tag, body = FRAME_ZLIB, deflate.compress(payload) + deflate.flush()
-    frame = bytes([tag]) + write_varint(len(payload)) + body
+    # Entropy coding only: a frame is digests and near-half-fill merged
+    # filters, and aggregation already removed every repeated blob, so
+    # LZ77 match search took 8x the time to find nothing (DESIGN.md
+    # §10).  Still an ordinary RFC 1950 stream.
+    deflate = zlib.compressobj(strategy=zlib.Z_HUFFMAN_ONLY)
+    body = deflate.compress(payload) + deflate.flush()
+    frame = bytes([FRAME_ZLIB]) + write_varint(len(payload)) + body
     if len(frame) >= len(payload):
         return payload
     return frame
@@ -280,13 +263,15 @@ def decompress_frame(
 ) -> bytes:
     """Undo :func:`compress_frame`; raw frames pass through unchanged.
 
-    Every failure mode — truncated stream, corrupt codec data, a length
+    Every failure mode — truncated stream, corrupt zlib data, a length
     header that lies, trailing garbage, a claimed size beyond
-    ``max_frame_bytes`` (the zip-bomb guard), a zstd frame without the
-    library — raises :class:`EncodingError`, the same typed decode
-    failure a mangled plain frame produces.
+    ``max_frame_bytes`` (the zip-bomb guard), the reserved ``0x11`` tag
+    — raises :class:`EncodingError`, the same typed decode failure a
+    mangled plain frame produces.
     """
-    if not frame or frame[0] not in (FRAME_ZLIB, FRAME_ZSTD):
+    if frame and frame[0] == FRAME_RESERVED:
+        raise EncodingError("frame tag 0x11 (once zstd) is reserved")
+    if not frame or frame[0] != FRAME_ZLIB:
         if len(frame) > max_frame_bytes:
             raise EncodingError(
                 f"frame of {len(frame)} bytes exceeds the "
@@ -294,7 +279,7 @@ def decompress_frame(
             )
         return frame
     reader = ByteReader(frame)
-    tag = reader.bytes(1)[0]
+    reader.bytes(1)  # the FRAME_ZLIB tag
     raw_len = reader.varint()
     if raw_len > max_frame_bytes:
         raise EncodingError(
@@ -302,27 +287,17 @@ def decompress_frame(
             f"the {max_frame_bytes}-byte limit"
         )
     body = reader.bytes(reader.remaining)
-    if tag == FRAME_ZSTD:
-        if _zstd is None:
-            raise EncodingError("received a zstd frame without zstd support")
-        try:
-            raw = _zstd.ZstdDecompressor().decompress(
-                body, max_output_size=max(raw_len, 1)
-            )
-        except _zstd.ZstdError as exc:  # pragma: no cover - needs zstd
-            raise EncodingError(f"bad zstd frame: {exc}") from exc
-    else:
-        decomp = zlib.decompressobj()
-        try:
-            # max_length=0 would mean "unbounded" — always pass >= 1 so a
-            # frame claiming 0 bytes cannot smuggle an expansion bomb.
-            raw = decomp.decompress(body, max(raw_len, 1))
-        except zlib.error as exc:
-            raise EncodingError(f"bad zlib frame: {exc}") from exc
-        if not decomp.eof or decomp.unconsumed_tail:
-            raise EncodingError("zlib frame does not end where it claims to")
-        if decomp.unused_data:
-            raise EncodingError("trailing bytes after the zlib stream")
+    decomp = zlib.decompressobj()
+    try:
+        # max_length=0 would mean "unbounded" — always pass >= 1 so a
+        # frame claiming 0 bytes cannot smuggle an expansion bomb.
+        raw = decomp.decompress(body, max(raw_len, 1))
+    except zlib.error as exc:
+        raise EncodingError(f"bad zlib frame: {exc}") from exc
+    if not decomp.eof or decomp.unconsumed_tail:
+        raise EncodingError("zlib frame does not end where it claims to")
+    if decomp.unused_data:
+        raise EncodingError("trailing bytes after the zlib stream")
     if len(raw) != raw_len:
         raise EncodingError(
             f"compressed frame claims {raw_len} bytes, carries {len(raw)}"
@@ -346,20 +321,14 @@ class CompressedTransport:
     def __init__(
         self,
         inner=None,
-        codec: str = "zlib",
         min_size: int = MIN_COMPRESS_SIZE,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        if codec not in _CODECS:
-            raise EncodingError(f"unknown compression codec {codec!r}")
-        if codec == "zstd" and _zstd is None:
-            raise EncodingError("zstd codec requested but library unavailable")
         if max_frame_bytes < 1:
             raise EncodingError(
                 f"frame limit must be positive, got {max_frame_bytes}"
             )
         self.inner = inner if inner is not None else InProcessTransport()
-        self.codec = codec
         self.min_size = min_size
         self.max_frame_bytes = max_frame_bytes
 
@@ -393,9 +362,7 @@ class CompressedTransport:
     def send_to_server(self, payload: bytes) -> bytes:
         return decompress_frame(
             self.inner.send_to_server(
-                compress_frame(
-                    payload, self.codec, self.min_size, self.max_frame_bytes
-                )
+                compress_frame(payload, self.min_size, self.max_frame_bytes)
             ),
             self.max_frame_bytes,
         )
@@ -403,12 +370,10 @@ class CompressedTransport:
     def send_to_client(self, payload: bytes) -> bytes:
         return decompress_frame(
             self.inner.send_to_client(
-                compress_frame(
-                    payload, self.codec, self.min_size, self.max_frame_bytes
-                )
+                compress_frame(payload, self.min_size, self.max_frame_bytes)
             ),
             self.max_frame_bytes,
         )
 
     def __repr__(self) -> str:
-        return f"CompressedTransport({self.codec}, inner={self.inner!r})"
+        return f"CompressedTransport(inner={self.inner!r})"

@@ -70,7 +70,7 @@ class BuiltSystem:
         smts: List[Optional[SortedMerkleTree]],
         merkle_trees: List[MerkleTree],
         forest: Optional[BmtForest],
-        address_index: Optional[AddressIndex] = None,
+        address_index: AddressIndex,
         caches: Optional[QueryCaches] = None,
     ) -> None:
         self.config = config
@@ -83,12 +83,15 @@ class BuiltSystem:
         self.merkle_trees = merkle_trees
         #: BMT subtree cache (``None`` on non-BMT systems).
         self.forest = forest
-        #: Inverted ``address → (height, tx_index)`` postings — the
-        #: prover's fast path (``None`` only for hand-built systems).
+        #: Inverted ``address → (height, tx_index)`` postings — how the
+        #: prover finds an address's transactions in a block.
         self.address_index = address_index
-        #: Bounded, thread-safe memo caches (resolutions + segment
-        #: multiproofs).  Both hold append-stable values; see
-        #: :mod:`repro.query.cache` for the invalidation rules.
+        #: Bounded, thread-safe memo caches: ``resolutions`` (block
+        #: evidence keyed ``(address, height)``) and ``segments``
+        #: (``(frontier, failed_heights)`` keyed ``(address, anchor,
+        #: start, end, clipped_range)``).  Both hold append-stable
+        #: values; see :mod:`repro.query.cache` for the invalidation
+        #: rules.
         self.caches = caches if caches is not None else QueryCaches()
         #: Readers/writer lock fencing queries against ``append_block``.
         self.lock = RWLock()
@@ -98,24 +101,6 @@ class BuiltSystem:
         #: Fork-switch callbacks, fired with the fork height after every
         #: rollback, while the write lock is still held.
         self._reorg_listeners: "List[Callable[[int], None]]" = []
-
-    @property
-    def resolution_cache(self):
-        """Memoized block resolutions keyed ``(address, height)`` —
-        bounded LRU; blocks are immutable once appended, so entries
-        never go stale."""
-        return self.caches.resolutions
-
-    @property
-    def segment_cache(self):
-        """Memoized ``(multiproof, failed_heights)`` per segment, keyed
-        ``(address, anchor, start, end, clipped_range)`` — bounded LRU.
-        A BMT over a fixed block span never changes after it is merged,
-        so the proof for that span cannot go stale; new blocks only add
-        new spans (new keys).  The multiproof object is shared across
-        answers — proofs are read-only to honest consumers, and the
-        tampering tests deep-copy before attacking."""
-        return self.caches.segments
 
     def clear_query_caches(self) -> None:
         """Drop memoized query state (for cold-cache benchmarking)."""
@@ -175,8 +160,7 @@ class BuiltSystem:
             self.filters.append(bf)
             self.smts.append(smt)
             self.merkle_trees.append(block.merkle_tree())
-            if self.address_index is not None:
-                self.address_index.add_block(height, block.transactions)
+            self.address_index.add_block(height, block.transactions)
             for listener in self._append_listeners:
                 listener()
 
@@ -208,8 +192,7 @@ class BuiltSystem:
             del self.merkle_trees[height + 1 :]
             if self.forest is not None:
                 self.forest.rollback_to(height)
-            if self.address_index is not None:
-                self.address_index.rollback_to(height)
+            self.address_index.rollback_to(height)
             self.caches.on_reorg(height)
             for listener in self._reorg_listeners:
                 listener(height)

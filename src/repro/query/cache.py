@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Hashable, Iterator, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator
 
 
 class CacheStats:

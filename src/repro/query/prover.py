@@ -108,7 +108,7 @@ def _answer_with_segments(
         # A BMT over a fixed span is immutable once merged, so its
         # multiproof for a given clipped range is memoizable forever.
         seg_key = (address, anchor, start, end, clipped)
-        cached = system.segment_cache.get(seg_key)
+        cached = system.caches.segments.get(seg_key)
         if cached is None:
             tree = system.forest.tree(start, end)
             positions = cache.positions(
@@ -132,7 +132,7 @@ def _answer_with_segments(
             # references into the forest — not its encoding, which would
             # pin a copy of every shipped filter per entry.
             if clipped == (start, end):
-                system.segment_cache[seg_key] = cached
+                system.caches.segments[seg_key] = cached
         frontier, failed = cached
         multiproof = BmtMultiProof.encode(frontier, config.bf_bytes)
         resolutions: Dict[int, object] = {
@@ -192,7 +192,7 @@ def _resolve_block(system: BuiltSystem, height: int, address: str):
     resolution object (``copy()``) so callers that tamper with their
     answer — the adversary tests do — cannot poison the memo.
     """
-    cache = system.resolution_cache
+    cache = system.caches.resolutions
     key = (address, height)
     resolution = cache.get(key)
     if resolution is None:
@@ -228,21 +228,10 @@ def _build_resolution(system: BuiltSystem, height: int, address: str):
 def _existence_entries(
     system: BuiltSystem, block: Block, address: str
 ) -> List[TxWithBranch]:
-    """``(transaction, Merkle branch)`` pairs for every appearance.
-
-    With an inverted index on the system this is O(appearances); the
-    brute-force scan remains only as a fallback for hand-built systems
-    constructed without an index.
-    """
+    """``(transaction, Merkle branch)`` pairs for every appearance,
+    O(appearances) through the inverted index."""
     merkle_tree = system.merkle_trees[block.height]
-    index = system.address_index
-    if index is not None and index.indexed_height >= block.height:
-        return [
-            TxWithBranch(block.transactions[i], merkle_tree.branch(i))
-            for i in index.tx_indices(address, block.height)
-        ]
     return [
-        TxWithBranch(transaction, merkle_tree.branch(i))
-        for i, transaction in enumerate(block.transactions)
-        if transaction.involves(address)
+        TxWithBranch(block.transactions[i], merkle_tree.branch(i))
+        for i in system.address_index.tx_indices(address, block.height)
     ]

@@ -1,28 +1,17 @@
 """On-disk persistence for chains and light-node header files.
 
-Two store formats coexist:
-
-* format 1 (:mod:`repro.storage.chain_store`) — snapshot files rewritten
-  whole on every save; kept for compatibility and simple exports;
-* format 2 (:mod:`repro.storage.durable`) — an append-only, CRC-framed
-  record log with crash-atomic manifest checkpoints; ``append_block``
-  and reorgs persist O(delta) and recovery survives a kill at any byte.
-
-:func:`load_system` transparently opens either format.
+* :mod:`repro.storage.durable` — the full node's chain: an append-only,
+  CRC-framed record log with crash-atomic manifest checkpoints;
+  ``append_block`` and reorgs persist O(delta) and recovery survives a
+  kill at any byte;
+* :mod:`repro.storage.chain_store` — a light node's header file.
 """
 
-from repro.storage.chain_store import (
-    load_headers,
-    load_system,
-    save_headers,
-    save_system,
-)
+from repro.storage.chain_store import load_headers, save_headers
 from repro.storage.durable import DurableStore, StoreReport, verify_store
 from repro.storage.vfs import CountingVfs, CrashPoint, CrashVfs, Vfs
 
 __all__ = [
-    "save_system",
-    "load_system",
     "save_headers",
     "load_headers",
     "DurableStore",

@@ -1,131 +1,22 @@
-"""On-disk chain and header storage.
+"""Light-node header files.
 
-A chain directory holds three files:
-
-* ``manifest.json`` — the :class:`SystemConfig` plus block count and the
-  tip block id (hex), written last so a torn write is detectable;
-* ``bodies.dat``   — concatenated ``var_bytes(block body)`` records;
-* ``headers.dat``  — concatenated ``var_bytes(header)`` records.
-
-``load_system`` rebuilds the full node's indexes (filters, SMTs, Merkle
-trees, BMT forest) from the bodies — they are pure functions of the
-blocks — and then cross-checks every rebuilt header against the stored
-one, so silent corruption of either file is caught at load time rather
-than at query time.
-
-Light nodes persist just the header file via :func:`save_headers` /
-:func:`load_headers`; loading re-validates the prev-hash linkage.
+A light node persists just its header list, one ``var_bytes(header)``
+record per height, via :func:`save_headers` / :func:`load_headers`;
+loading re-validates the prev-hash linkage.  Full-node chains live in
+the durable store (:mod:`repro.storage.durable`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 from typing import List, Union
 
-from repro.chain.block import Block, BlockHeader
+from repro.chain.block import BlockHeader
 from repro.crypto.encoding import ByteReader, write_var_bytes
-from repro.errors import ChainError, EncodingError
-from repro.query.builder import BuiltSystem, build_system
+from repro.errors import ChainError
 from repro.query.config import SystemConfig
 
-_MANIFEST = "manifest.json"
-_BODIES = "bodies.dat"
-_HEADERS = "headers.dat"
-
 PathLike = Union[str, pathlib.Path]
-
-
-def save_system(system: BuiltSystem, directory: PathLike) -> None:
-    """Persist a built chain to ``directory`` (created if missing)."""
-    path = pathlib.Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-
-    with open(path / _BODIES, "wb") as bodies_file:
-        for block in system.chain:
-            bodies_file.write(write_var_bytes(block.body_bytes()))
-    with open(path / _HEADERS, "wb") as headers_file:
-        for header in system.headers():
-            headers_file.write(write_var_bytes(header.serialize()))
-
-    manifest = {
-        "format": 1,
-        "config": system.config.to_dict(),
-        "blocks": len(system.chain),
-        "tip_id": system.chain.header_at(system.tip_height)
-        .block_id()
-        .hex(),
-    }
-    # The manifest is written last — its presence marks a complete store —
-    # and atomically: a crash mid-write must leave either the old manifest
-    # or the new one, never a torn JSON prefix.
-    tmp_path = path / (_MANIFEST + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        handle.write(json.dumps(manifest, indent=2).encode("ascii"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path / _MANIFEST)
-    _fsync_dir(path)
-
-
-def load_system(directory: PathLike) -> BuiltSystem:
-    """Load a chain directory and rebuild the full node's indexes.
-
-    Raises :class:`ChainError` on any inconsistency between manifest,
-    bodies, and headers.
-    """
-    path = pathlib.Path(directory)
-    try:
-        manifest = json.loads((path / _MANIFEST).read_text())
-    except FileNotFoundError as exc:
-        raise ChainError(f"no chain manifest in {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ChainError(f"corrupt chain manifest in {path}: {exc}") from exc
-    if isinstance(manifest, dict) and manifest.get("format") == 2:
-        # A durable (append-only log) store — recover it transparently.
-        from repro.storage.durable import DurableStore
-
-        return DurableStore.open(path).system
-    if not isinstance(manifest, dict) or manifest.get("format") != 1:
-        raise ChainError(
-            "unsupported or malformed chain store manifest"
-        )
-    try:
-        config = SystemConfig.from_dict(manifest["config"])
-        expected_blocks = int(manifest["blocks"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChainError(f"malformed chain manifest: {exc}") from exc
-    if expected_blocks <= 0:
-        raise ChainError(f"manifest promises {expected_blocks} blocks")
-
-    bodies = _read_records(path / _BODIES)
-    if len(bodies) != expected_blocks:
-        raise ChainError(
-            f"manifest promises {expected_blocks} blocks, bodies file has "
-            f"{len(bodies)}"
-        )
-    transactions = [Block.body_from_bytes(body) for body in bodies]
-    system = build_system(transactions, config)
-
-    stored_headers = _read_records(path / _HEADERS)
-    if len(stored_headers) != expected_blocks:
-        raise ChainError(
-            f"manifest promises {expected_blocks} headers, header file has "
-            f"{len(stored_headers)}"
-        )
-    for height, (stored, rebuilt) in enumerate(
-        zip(stored_headers, system.headers())
-    ):
-        if stored != rebuilt.serialize():
-            raise ChainError(
-                f"stored header at height {height} does not match the "
-                "header rebuilt from the bodies — store is corrupt"
-            )
-    tip_id = system.chain.header_at(system.tip_height).block_id().hex()
-    if manifest.get("tip_id") != tip_id:
-        raise ChainError("manifest tip id does not match the stored chain")
-    return system
 
 
 def save_headers(headers: List[BlockHeader], file_path: PathLike) -> None:
@@ -155,32 +46,3 @@ def load_headers(
             )
         headers.append(header)
     return headers
-
-
-def _fsync_dir(path: pathlib.Path) -> None:
-    """Flush the directory entry after a rename (best-effort)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(fd)
-
-
-def _read_records(file_path: pathlib.Path) -> List[bytes]:
-    try:
-        raw = file_path.read_bytes()
-    except FileNotFoundError as exc:
-        raise ChainError(f"missing chain store file {file_path}") from exc
-    reader = ByteReader(raw)
-    records = []
-    try:
-        while reader.remaining:
-            records.append(reader.var_bytes())
-    except EncodingError as exc:
-        raise ChainError(f"corrupt chain store file {file_path}: {exc}") from exc
-    return records

@@ -1,12 +1,9 @@
-"""Crash-safe incremental chain store.
+"""Crash-safe incremental chain store — the full node's one on-disk format.
 
-:func:`~repro.storage.chain_store.save_system` rewrites the whole store
-on every save — O(chain) per block and a wide window in which a crash
-leaves nothing usable.  :class:`DurableStore` replaces that with an
-append-only record log (``chain.log``, framed per
-:mod:`repro.storage.record_log`) and a small manifest checkpoint, so
-``append_block`` and reorgs persist O(delta) and every commit is
-crash-atomic.
+:class:`DurableStore` keeps an append-only record log (``chain.log``,
+framed per :mod:`repro.storage.record_log`) and a small manifest
+checkpoint, so ``append_block`` and reorgs persist O(delta) and every
+commit is crash-atomic.
 
 Commit protocol (one mutation)::
 

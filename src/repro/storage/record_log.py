@@ -5,8 +5,7 @@ Every mutation of the full node's chain is one framed record appended to
 
 * ``BLOCK``    — a block appended at the next height: ``var_bytes(body)
   + var_bytes(header)``.  The header rides along so recovery can
-  cross-check the bytes it rebuilds from the bodies, exactly as the
-  snapshot store's ``load_system`` does.
+  cross-check the header it rebuilds from the body byte for byte.
 * ``ROLLBACK`` — a fork switch popped every block above the carried
   height (little-endian ``u32``).
 

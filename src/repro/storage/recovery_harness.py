@@ -44,7 +44,7 @@ from repro.query.builder import BuiltSystem, build_system
 from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
 from repro.storage.durable import DurableStore, verify_store
-from repro.storage.vfs import CountingVfs, CrashPoint, CrashVfs, Vfs
+from repro.storage.vfs import CountingVfs, CrashPoint, CrashVfs
 from repro.workload.generator import WorkloadParams, generate_workload
 from repro.workload.profiles import ProbeProfile
 

@@ -1,9 +1,10 @@
 """Integration: a full node-operator lifecycle across process restarts.
 
 Day 0: build a chain, serve a wallet, persist everything to disk.
-Day 1 (fresh "process"): reload chain and wallet from disk, mine more
-blocks, sync the wallet, verify balances against ground truth the whole
-way.  Exercises storage + growth + wallet + batch verification together.
+Day 1 (fresh "process"): reopen the durable chain store and the wallet,
+mine more blocks through the store, sync the wallet, verify balances
+against ground truth the whole way.  Exercises storage + growth +
+wallet + batch verification together.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.chain.utxo import balance_from_history
 from repro.node.full_node import FullNode
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
-from repro.storage.chain_store import load_system, save_system
+from repro.storage.durable import DurableStore
 from repro.wallet import Wallet
 from repro.workload.generator import WorkloadParams, generate_workload
 from repro.workload.profiles import ProbeProfile
@@ -56,17 +57,18 @@ def test_full_lifecycle(lifecycle_workload, tmp_path):
     assert balances[hot] == _expected_balance(workload, hot, 25)
     assert balances[cold] == _expected_balance(workload, cold, 25)
 
-    save_system(system, tmp_path / "chain")
+    DurableStore.create(tmp_path / "chain", system)
     wallet.save(tmp_path / "wallet")
 
     # --- day 1: fresh objects from disk ---------------------------------
-    reloaded_system = load_system(tmp_path / "chain")
-    reloaded_node = FullNode(reloaded_system)
+    store = DurableStore.open(tmp_path / "chain")
+    reloaded_node = FullNode(store.system)
     reloaded_wallet = Wallet.load(tmp_path / "wallet")
     assert reloaded_wallet.light_node.tip_height == 25
 
-    # Mine the remaining blocks and sync the wallet.
-    reloaded_node.extend_chain(workload.bodies[26:])
+    # Mine the remaining blocks, each durably committed, and sync.
+    for transactions in workload.bodies[26:]:
+        store.append_block(transactions)
     replaced, appended = reloaded_wallet.sync(reloaded_node)
     assert replaced == 0
     assert appended == len(workload.bodies) - 26
@@ -79,11 +81,11 @@ def test_full_lifecycle(lifecycle_workload, tmp_path):
         workload, cold, 40
     )
 
-    # The grown-on-disk chain still matches a from-scratch build.
+    # The grown-on-disk chain, reopened, matches a from-scratch build.
     fresh = build_system(workload.bodies, config)
+    reopened = DurableStore.open(tmp_path / "chain").system
     assert (
-        reloaded_system.headers()[-1].block_id()
-        == fresh.headers()[-1].block_id()
+        reopened.headers()[-1].block_id() == fresh.headers()[-1].block_id()
     )
 
 
@@ -95,10 +97,10 @@ def test_lifecycle_on_non_bmt_system(lifecycle_workload, tmp_path):
     hot = workload.probe_addresses["Hot"]
 
     system = build_system(workload.bodies[:21], config)
-    save_system(system, tmp_path / "chain2")
-    reloaded = load_system(tmp_path / "chain2")
-    reloaded.append_block(workload.bodies[21])
-    full_node = FullNode(reloaded)
+    DurableStore.create(tmp_path / "chain2", system)
+    store = DurableStore.open(tmp_path / "chain2")
+    store.append_block(workload.bodies[21])
+    full_node = FullNode(store.system)
 
     from repro.node.light_node import LightNode
 

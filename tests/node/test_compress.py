@@ -27,9 +27,10 @@ from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.messages import AggregatedBatchRequest
 from repro.node.session import Peer, QuerySession, RetryPolicy
+from repro.node.netclient import ConnectionPool
 from repro.node.transport import (
+    FRAME_RESERVED,
     FRAME_ZLIB,
-    HAVE_ZSTD,
     MIN_COMPRESS_SIZE,
     CompressedTransport,
     InProcessTransport,
@@ -67,17 +68,20 @@ def test_incompressible_frames_pass_through():
 
 
 def test_unknown_codec_is_refused():
-    with pytest.raises(EncodingError):
-        compress_frame(b"y" * 1024, codec="lz4")
+    """zlib is the one codec: a pool asked for any other refuses at
+    construction, before it dials anything."""
+    for codec in ("zstd", "lz4", ""):
+        with pytest.raises(ValueError, match="unknown frame codec"):
+            ConnectionPool(("127.0.0.1", 1), codec=codec)
 
 
-def test_zstd_gated_on_library():
-    if HAVE_ZSTD:
-        frame = compress_frame(b"ab" * 4096, codec="zstd")
-        assert decompress_frame(frame) == b"ab" * 4096
-    else:
-        with pytest.raises(EncodingError):
-            compress_frame(b"ab" * 4096, codec="zstd")
+def test_reserved_tag_is_refused():
+    """0x11 stays a reserved frame marker (PROTOCOL.md §8.3): whatever
+    follows it, decoding fails typed instead of passing it through."""
+    payload = b"ab" * 4096
+    for body in (b"", write_varint(len(payload)) + zlib.compress(payload)):
+        with pytest.raises(EncodingError, match="reserved"):
+            decompress_frame(bytes([FRAME_RESERVED]) + body)
 
 
 def test_truncated_compressed_frame_is_typed():
@@ -225,14 +229,6 @@ def test_compressed_transport_delta_sync(lvq_system):
     assert [h.serialize() for h in light_node.headers] == [
         h.serialize() for h in lvq_system.headers()
     ]
-
-
-def test_compressed_transport_requires_known_codec():
-    with pytest.raises(EncodingError):
-        CompressedTransport(codec="lz4")
-    if not HAVE_ZSTD:
-        with pytest.raises(EncodingError):
-            CompressedTransport(codec="zstd")
 
 
 # ---------------------------------------------------------------------------

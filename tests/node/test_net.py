@@ -16,6 +16,7 @@ import zlib
 
 import pytest
 
+from netserve import NodeServer
 from repro.crypto.encoding import write_varint
 from repro.errors import (
     ConnectionLimitError,
@@ -45,7 +46,11 @@ from repro.node.netclient import (
     error_from_frame,
 )
 from repro.node.server import QueryServer
-from repro.node.transport import FRAME_ZLIB, InProcessTransport
+from repro.node.transport import (
+    FRAME_RESERVED,
+    FRAME_ZLIB,
+    InProcessTransport,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +65,7 @@ def loop_thread():
 def served_lvq(lvq_system, loop_thread):
     """An LVQ full node behind a loopback NetServer."""
     full_node = FullNode(lvq_system)
-    server = NetServer(full_node, loop_thread=loop_thread)
+    server = NodeServer(full_node, loop_thread=loop_thread)
     server.start()
     yield server, full_node
     server.close()
@@ -117,7 +122,11 @@ class _StubNode:
 
     tip_height = 0
 
+    def __init__(self):
+        self.calls = 0
+
     def handle_query(self, payload):
+        self.calls += 1
         return b"\x02" + b"A" * 2000
 
     handle_batch_query = handle_headers = handle_query
@@ -127,11 +136,11 @@ def test_compressed_request_gets_mirrored_codec(loop_thread, probe_addresses):
     from repro.node.transport import compress_frame, decompress_frame
 
     stub = _StubNode()
-    with NetServer(stub, loop_thread=loop_thread) as server:
+    with NodeServer(stub, loop_thread=loop_thread) as server:
         # A long repetitive address so the *request* actually compresses
         # (tiny or hash-dense frames legitimately pass through plain).
         request = QueryRequest("A" * 512).serialize()
-        compressed = compress_frame(request, "zlib", min_size=0)
+        compressed = compress_frame(request, min_size=0)
         assert compressed[0] == FRAME_ZLIB
         wire = _raw_exchange(server.address, compressed)
         assert wire[0] == FRAME_ZLIB, "response must mirror the request codec"
@@ -146,9 +155,9 @@ def test_achieved_compression_is_readable_from_metrics(loop_thread):
     from repro.node.transport import compress_frame
 
     stub = _StubNode()
-    with NetServer(stub, loop_thread=loop_thread) as server:
+    with NodeServer(stub, loop_thread=loop_thread) as server:
         request = QueryRequest("A" * 512).serialize()
-        compressed = compress_frame(request, "zlib", min_size=0)
+        compressed = compress_frame(request, min_size=0)
         wire = _raw_exchange(server.address, compressed)
         # Neither counts: a plain request is answered plain, and a pong
         # is too small for the mirrored codec to shrink.
@@ -162,6 +171,52 @@ def test_achieved_compression_is_readable_from_metrics(loop_thread):
     assert scrape["lvq_net_frames_compressed_total"] == 1
     assert scrape["lvq_net_bytes_before_compression_total"] == 2001
     assert scrape["lvq_net_bytes_after_compression_total"] == len(wire)
+
+
+def test_reserved_frame_tag_is_refused_before_dispatch(loop_thread):
+    """A frame opening with the reserved 0x11 marker (PROTOCOL.md §8.3)
+    is answered with one plain EncodingError frame; neither it nor the
+    valid request riding behind the marker reaches a handler."""
+    stub = _StubNode()
+    request = QueryRequest("a").serialize()
+    deflated = write_varint(len(request)) + zlib.compress(request)
+    with NodeServer(stub, loop_thread=loop_thread) as server:
+        for body in (request, deflated):
+            response = _raw_exchange(
+                server.address, bytes([FRAME_RESERVED]) + body
+            )
+            error = ErrorResponse.deserialize(response)
+            assert error.kind == "EncodingError"
+            assert "reserved" in error.message
+        assert stub.calls == 0
+        assert server.stats.errors_sent == 2
+        assert server.stats.frames_compressed == 0
+
+
+def test_pool_surfaces_reserved_tag_reply_as_encoding_error():
+    """A peer answering with a reserved-tag frame is a decode failure
+    on the client, typed like any other mangled frame."""
+    reply = bytes([FRAME_RESERVED]) + write_varint(5) + b"hello"
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_once():
+        connection, _ = listener.accept()
+        with connection:
+            header = _read_exact(connection, FRAME_HEADER.size)
+            _read_exact(connection, FRAME_HEADER.unpack(header)[0])
+            connection.sendall(FRAME_HEADER.pack(len(reply)) + reply)
+
+    thread = threading.Thread(target=answer_once, daemon=True)
+    thread.start()
+    pool = ConnectionPool(listener.getsockname(), codec="zlib")
+    try:
+        with pytest.raises(EncodingError, match="reserved"):
+            pool.request(QueryRequest("a").serialize())
+        thread.join(5.0)
+        assert not thread.is_alive()
+    finally:
+        pool.close()
+        listener.close()
 
 
 def test_ping_pong_inline(served_lvq, lvq_system):
@@ -266,7 +321,7 @@ def test_overload_crosses_wire_with_params(lvq_system, loop_thread):
 
 
 def test_connection_gate_rejects_with_typed_frame(lvq_system, loop_thread):
-    server = NetServer(
+    server = NodeServer(
         FullNode(lvq_system), max_connections=1, loop_thread=loop_thread
     )
     with server:
@@ -305,7 +360,7 @@ def test_many_held_connections_are_all_served(
         for address in probe_addresses.values()
     }
     addresses = list(expected)
-    server = NetServer(
+    server = NodeServer(
         full_node, max_connections=held, loop_thread=loop_thread
     )
     connections = []
@@ -332,7 +387,7 @@ def test_many_held_connections_are_all_served(
 
 
 def test_idle_connections_are_reaped(lvq_system, loop_thread):
-    server = NetServer(
+    server = NodeServer(
         FullNode(lvq_system), idle_timeout=0.15, loop_thread=loop_thread
     )
     with server:
@@ -346,7 +401,7 @@ def test_idle_connections_are_reaped(lvq_system, loop_thread):
 
 
 def test_mid_frame_stall_hits_read_deadline(lvq_system, loop_thread):
-    server = NetServer(
+    server = NodeServer(
         FullNode(lvq_system),
         idle_timeout=5.0,
         read_timeout=0.15,
@@ -364,7 +419,7 @@ def test_mid_frame_stall_hits_read_deadline(lvq_system, loop_thread):
 
 
 def test_oversized_and_empty_frames_rejected(lvq_system, loop_thread):
-    server = NetServer(
+    server = NodeServer(
         FullNode(lvq_system), max_frame_bytes=1024, loop_thread=loop_thread
     )
     with server:
@@ -385,7 +440,7 @@ def test_oversized_and_empty_frames_rejected(lvq_system, loop_thread):
 
 
 def test_client_send_cap_is_symmetric(lvq_system, loop_thread):
-    with NetServer(FullNode(lvq_system), loop_thread=loop_thread) as server:
+    with NodeServer(FullNode(lvq_system), loop_thread=loop_thread) as server:
         pool = ConnectionPool(server.address, max_frame_bytes=64)
         try:
             with pytest.raises(EncodingError):
@@ -410,7 +465,7 @@ def test_graceful_drain_finishes_in_flight_requests(lvq_system, loop_thread):
         return original(payload)
 
     full_node.handle_query = slow_handle
-    server = NetServer(full_node, loop_thread=loop_thread)
+    server = NodeServer(full_node, loop_thread=loop_thread)
     server.start()
     request = QueryRequest("nobody").serialize()
     result = {}
@@ -433,7 +488,7 @@ def test_abort_resets_live_connections(lvq_system, loop_thread):
     started = threading.Event()
     original = full_node.handle_query
     full_node.handle_query = lambda p: (started.set(), time.sleep(5.0), b"")[2]
-    server = NetServer(full_node, loop_thread=loop_thread)
+    server = NodeServer(full_node, loop_thread=loop_thread)
     server.start()
     pool = ConnectionPool(server.address, request_timeout=10.0)
     errors = []
@@ -506,7 +561,7 @@ def test_pool_evicts_dead_connections_after_server_restart(
     lvq_system, loop_thread, probe_addresses
 ):
     full_node = FullNode(lvq_system)
-    server = NetServer(full_node, loop_thread=loop_thread)
+    server = NodeServer(full_node, loop_thread=loop_thread)
     server.start()
     address = server.address
     pool = ConnectionPool(address, backoff_base=0.01, backoff_max=0.05)
@@ -514,7 +569,7 @@ def test_pool_evicts_dead_connections_after_server_restart(
     try:
         first = pool.request(request)
         server.abort()  # the pooled connection is now a dead socket
-        replacement = NetServer(
+        replacement = NodeServer(
             full_node, host=address[0], port=address[1], loop_thread=loop_thread
         )
         replacement.start()

@@ -11,7 +11,8 @@ Three escalating layers:
   scenarios as ``test_chaos.py`` (same :func:`_make_scenario`, same
   ``FaultyTransport`` wrappers and schedules), with every peer's node
   swapped for a :class:`RemoteFullNode` talking to a real
-  :class:`NetServer`.  FaultyTransport composes with the socket
+  :class:`NetServer` over a :class:`QueryServer` — the production
+  serving path.  FaultyTransport composes with the socket
   transport: it mangles request bytes *before* they cross the wire and
   response bytes *after* they return, so both chaos layers are active
   at once.  The soundness invariant and the benign-subset availability
@@ -34,6 +35,7 @@ import time
 
 import pytest
 
+from netserve import NodeServer
 from test_chaos import (
     SCENARIOS_PER_SYSTEM,
     _baseline,
@@ -51,7 +53,7 @@ from repro.node.faults import FaultKind, FaultRule, FaultSchedule
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.messages import QueryRequest
-from repro.node.net import EventLoopThread, NetServer, SocketFaultInjector
+from repro.node.net import EventLoopThread, SocketFaultInjector
 from repro.node.netclient import ConnectionPool, RemoteFullNode
 from repro.node.session import Peer, QuerySession, RetryPolicy
 
@@ -89,7 +91,7 @@ def _query_through_injector(
 ):
     """One verified query routed client → injector → server."""
     light = LightNode.from_full_node(full_node)
-    with NetServer(full_node, loop_thread=loop_thread) as server:
+    with NodeServer(full_node, loop_thread=loop_thread) as server:
         with SocketFaultInjector(
             server.address, schedule, loop_thread=loop_thread
         ) as injector:
@@ -202,7 +204,7 @@ class TestSocketFaultBehaviors:
         # A duplicated response leaves stray bytes on the connection; the
         # pool's health peek must evict it before the next request.
         request = QueryRequest(probe_addresses["Addr4"]).serialize()
-        with NetServer(lvq_full_node, loop_thread=loop_thread) as server:
+        with NodeServer(lvq_full_node, loop_thread=loop_thread) as server:
             with SocketFaultInjector(
                 server.address,
                 _schedule(FaultKind.DUPLICATE, direction="to_client", at=(1,)),
@@ -245,7 +247,7 @@ class TestSocketFaultBehaviors:
         self, lvq_full_node, probe_addresses, loop_thread
     ):
         schedule = _schedule(FaultKind.DROP, at=(0,))
-        with NetServer(lvq_full_node, loop_thread=loop_thread) as server:
+        with NodeServer(lvq_full_node, loop_thread=loop_thread) as server:
             with SocketFaultInjector(
                 server.address, schedule, loop_thread=loop_thread
             ) as injector:
@@ -275,7 +277,7 @@ def _socketify(session, loop_thread):
     """
     servers, remotes = [], []
     for peer in session.peers:
-        server = NetServer(
+        server = NodeServer(
             peer.node,
             loop_thread=loop_thread,
             idle_timeout=30.0,
@@ -355,7 +357,7 @@ def test_kill_server_mid_request_no_unverified_answers(
         for name in names
     }
 
-    server = NetServer(full_node, loop_thread=loop_thread)
+    server = NodeServer(full_node, loop_thread=loop_thread)
     server.start()
     address_tuple = server.address
     state = {"server": server}
@@ -412,7 +414,7 @@ def test_kill_server_mid_request_no_unverified_answers(
     state["server"].abort()  # RST every live connection, mid-request
     killed_at = time.monotonic()
     time.sleep(0.2)  # clients churn against a dead port
-    replacement = NetServer(
+    replacement = NodeServer(
         full_node,
         host=address_tuple[0],
         port=address_tuple[1],

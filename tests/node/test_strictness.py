@@ -134,12 +134,13 @@ class TestTrailingBytes:
 @pytest.fixture(scope="module")
 def tcp_served_node(request):
     """A served LVQ node, started once for the delivery-strictness tests."""
-    from repro.node.net import EventLoopThread, NetServer
+    from netserve import NodeServer
+    from repro.node.net import EventLoopThread
 
     lvq_system = request.getfixturevalue("lvq_system")
     loop_thread = EventLoopThread("test-strictness-loop")
     node = FullNode(lvq_system)
-    server = NetServer(
+    server = NodeServer(
         node, idle_timeout=30.0, read_timeout=10.0, loop_thread=loop_thread
     )
     server.start()

@@ -29,6 +29,7 @@ from repro.node.messages import (
     SubscriptionEvicted,
     UnsubscribeRequest,
 )
+from repro.node.net import NetServer
 from repro.node.netclient import error_from_frame
 from repro.node.server import QueryServer
 from repro.node.subscribe import SubscriptionRegistry
@@ -339,10 +340,17 @@ def test_slow_consumer_evicted_with_typed_frame_and_reclaimed_outbox():
     assert len(fast.frames) == 4
 
 
-def test_registry_rejects_tiny_outbox_bound():
+def test_server_rejects_tiny_push_outbox():
+    """The per-subscriber outbox bound lives on the connection's push
+    channel, set by ``NetServer(push_outbox=)``: it needs room for one
+    update plus the eviction frame."""
     _, _, system = _build()
-    with pytest.raises(ValueError):
-        SubscriptionRegistry(FullNode(system), max_outbox=1)
+    query_server = QueryServer(FullNode(system), num_workers=1)
+    try:
+        with pytest.raises(ValueError, match="push outbox"):
+            NetServer(query_server, push_outbox=1)
+    finally:
+        query_server.close()
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ import time
 
 import pytest
 
+from netserve import NodeServer
 from test_subscribe_net import _build, _serve, _truth_histories, _txids
 
 from repro.node.faults import FaultKind, FaultRule, FaultSchedule
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
-from repro.node.net import EventLoopThread, NetServer, SocketFaultInjector
+from repro.node.net import EventLoopThread, SocketFaultInjector
 from repro.node.session import RetryPolicy
 from repro.node.subscribe import SubscriptionRegistry, SubscriptionSession
 from repro.wallet import Wallet
@@ -193,7 +194,7 @@ def test_kill_server_mid_stream_resubscribes_and_backfills(loop_thread):
         missed_last = system.tip_height
         time.sleep(0.3)  # session churns against a dead port
 
-        replacement = NetServer(
+        replacement = NodeServer(
             node,
             host=address[0],
             port=address[1],
@@ -289,7 +290,7 @@ def test_byzantine_server_cannot_surface_wrong_updates(loop_thread):
     workload, config, system = _build(num_blocks=8, extra=6, seed=23)
     node = _LyingNode(system)
     registry = SubscriptionRegistry(node)
-    server = NetServer(
+    server = NodeServer(
         node, subscriptions=registry, loop_thread=loop_thread
     ).start()
     light = LightNode(system.headers(), config)

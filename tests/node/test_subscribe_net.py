@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from netserve import NodeServer
 from repro.errors import RequestShedError
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
@@ -37,7 +38,7 @@ from repro.node.messages import (
     SubscriptionEvicted,
     UnsubscribeRequest,
 )
-from repro.node.net import FRAME_HEADER, EventLoopThread, NetServer
+from repro.node.net import FRAME_HEADER, EventLoopThread
 from repro.node.netclient import ClientConnection
 from repro.node.subscribe import (
     SubscriptionRegistry,
@@ -71,10 +72,8 @@ def _build(num_blocks=8, extra=10, seed=7, txs=6):
 
 def _serve(system, loop_thread, **kwargs):
     node = FullNode(system)
-    registry = SubscriptionRegistry(
-        node, max_outbox=kwargs.pop("max_outbox", 256)
-    )
-    server = NetServer(
+    registry = SubscriptionRegistry(node)
+    server = NodeServer(
         node,
         subscriptions=registry,
         loop_thread=loop_thread,
@@ -258,11 +257,11 @@ def test_unsubscribe_over_the_wire_and_no_marker_collision(loop_thread):
 
     Regression: the original tag assignment gave UnsubscribeRequest and
     PushUpdate the bytes 0x10/0x11, which first-byte dispatch reserves
-    for zlib/zstd compressed frames (§9.5) — an unsubscribe on the wire
-    was "decompressed" into an EncodingError.  Subscription tags now
-    start at 0x14.
+    for frame markers (PROTOCOL.md §8.3: zlib, and a reserved tag) — an
+    unsubscribe on the wire was "decompressed" into an EncodingError.
+    Subscription tags now start at 0x14.
     """
-    from repro.node.transport import FRAME_ZLIB, FRAME_ZSTD
+    from repro.node.transport import FRAME_RESERVED, FRAME_ZLIB
 
     for message_class in (
         SubscribeRequest,
@@ -272,7 +271,7 @@ def test_unsubscribe_over_the_wire_and_no_marker_collision(loop_thread):
         PushRetraction,
         SubscriptionEvicted,
     ):
-        assert message_class.type_tag not in (FRAME_ZLIB, FRAME_ZSTD), (
+        assert message_class.type_tag not in (FRAME_ZLIB, FRAME_RESERVED), (
             f"{message_class.__name__} tag collides with a frame marker"
         )
 
@@ -366,7 +365,6 @@ def test_slow_socket_consumer_gets_typed_eviction_frame(loop_thread):
     node, registry, server = _serve(
         system,
         loop_thread,
-        max_outbox=4,
         push_outbox=4,
         # Zero transport buffer: the stalled socket's backpressure hits
         # the outbox as soon as the kernel buffers fill, instead of
@@ -423,7 +421,7 @@ def test_slow_socket_consumer_gets_typed_eviction_frame(loop_thread):
         assert registry.stats.evicted_slow == 1, (
             f"stalled consumer not evicted after {appended} appends"
         )
-        assert registry.stats.frames_dropped >= registry.max_outbox
+        assert registry.stats.frames_dropped >= server.push_outbox
         assert registry.stats.active == 1, "outbox entry reclaimed"
 
         # The healthy neighbour kept receiving everything, unblocked.
@@ -459,7 +457,7 @@ def test_slow_socket_consumer_gets_typed_eviction_frame(loop_thread):
             if frame[0] == SubscriptionEvicted.type_tag:
                 notice = SubscriptionEvicted.deserialize(frame)
                 assert notice.subscription_id == ack.subscription_id
-                assert notice.dropped_frames >= registry.max_outbox
+                assert notice.dropped_frames >= server.push_outbox
                 assert notice.reason == "outbox overflow"
                 saw_eviction = True
             else:

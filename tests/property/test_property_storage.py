@@ -1,12 +1,10 @@
-"""Property test: on-disk corruption is always detected at load time.
+"""Property test: on-disk corruption is always detected at open time.
 
-Random byte flips in any of the three chain-store files must make
-``load_system`` raise — never silently load a different chain.  (A flip
-could in principle leave the files byte-identical in meaning only by a
-hash collision.)
+A random bit flip in either file of a :class:`DurableStore` — the
+``chain.log`` record log or the ``manifest.json`` checkpoint — must make
+``DurableStore.open`` raise, or load the very same chain (a flip in
+JSON whitespace, say).  It must never silently load a different chain.
 """
-
-import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,9 +13,11 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
-from repro.storage.chain_store import load_system, save_system
+from repro.storage.durable import DurableStore
 from repro.workload.generator import WorkloadParams, generate_workload
 from repro.workload.profiles import ProbeProfile
+
+_FILES = ("chain.log", "manifest.json")
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +33,14 @@ def stored_chain(tmp_path_factory):
     system = build_system(
         workload.bodies, SystemConfig.lvq(bf_bytes=96, segment_len=8)
     )
-    directory = tmp_path_factory.mktemp("chain-store") / "chain"
-    save_system(system, directory)
-    originals = {
-        name: (directory / name).read_bytes()
-        for name in ("bodies.dat", "headers.dat", "manifest.json")
-    }
+    directory = tmp_path_factory.mktemp("durable-store") / "chain"
+    DurableStore.create(directory, system)
+    originals = {name: (directory / name).read_bytes() for name in _FILES}
     return system, directory, originals
 
 
 @given(
-    target=st.sampled_from(["bodies.dat", "headers.dat", "manifest.json"]),
+    target=st.sampled_from(_FILES),
     position=st.integers(min_value=0, max_value=10_000_000),
     bit=st.integers(min_value=0, max_value=7),
 )
@@ -57,21 +54,17 @@ def test_any_flip_detected_or_harmless(stored_chain, target, position, bit):
     raw = bytearray(originals[target])
     raw[position % len(raw)] ^= 1 << bit
     try:
-        for name, payload in originals.items():
-            (directory / name).write_bytes(
-                bytes(raw) if name == target else payload
-            )
+        (directory / target).write_bytes(bytes(raw))
         try:
-            loaded = load_system(directory)
+            loaded = DurableStore.open(directory).system
         except ReproError:
             return  # detected — the required outcome for meaningful flips
         except ValueError:
-            return  # manifest JSON-level damage surfaces as a parse error
-        # Accepted: the chain must be byte-identical to the original
-        # (e.g. the flip hit JSON whitespace in the manifest).
+            return  # a flip that breaks the manifest's text encoding
         assert loaded.headers()[-1].block_id() == (
             system.headers()[-1].block_id()
         )
     finally:
+        # open() may truncate a torn tail or re-checkpoint the manifest.
         for name, payload in originals.items():
             (directory / name).write_bytes(payload)

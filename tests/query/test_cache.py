@@ -465,8 +465,8 @@ class TestBuiltSystemCacheWiring:
         )
         for address in workload.probe_addresses.values():
             answer_query(system, address)
-        assert len(system.resolution_cache) <= 4
-        assert len(system.segment_cache) <= 2
+        assert len(system.caches.resolutions) <= 4
+        assert len(system.caches.segments) <= 2
         assert system.caches.stats()["segments"]["max_entries"] == 2
 
     def test_clear_query_caches_still_works(self, serving_setup):
@@ -474,14 +474,14 @@ class TestBuiltSystemCacheWiring:
         system = build_system(workload.bodies[:17], config)
         address = _onchain_address(workload)
         answer_query(system, address)
-        assert len(system.segment_cache) > 0
-        assert len(system.resolution_cache) > 0
+        assert len(system.caches.segments) > 0
+        assert len(system.caches.resolutions) > 0
         system.clear_query_caches()
-        assert len(system.segment_cache) == 0
-        assert len(system.resolution_cache) == 0
+        assert len(system.caches.segments) == 0
+        assert len(system.caches.resolutions) == 0
         # and the caches still fill again afterwards
         answer_query(system, address)
-        assert len(system.segment_cache) > 0
+        assert len(system.caches.segments) > 0
 
 
 class TestAppendInvalidation:
@@ -504,16 +504,16 @@ class TestAppendInvalidation:
         assert first == again
         assert node.response_cache.stats()["hits"] == 1
         assert len(node.response_cache) == 1
-        segment_keys_before = set(system.segment_cache.keys())
-        resolutions_before = len(system.resolution_cache)
+        segment_keys_before = set(system.caches.segments.keys())
+        resolutions_before = len(system.caches.resolutions)
         assert segment_keys_before and resolutions_before
 
         system.append_block(workload.bodies[17])
 
         # Tip-keyed response bytes are gone; append-stable memos are not.
         assert len(node.response_cache) == 0
-        assert set(system.segment_cache.keys()) == segment_keys_before
-        assert len(system.resolution_cache) == resolutions_before
+        assert set(system.caches.segments.keys()) == segment_keys_before
+        assert len(system.caches.resolutions) == resolutions_before
 
         # A fresh query answers at the new tip and re-fills the cache.
         after = self._query_bytes(node, address)
@@ -566,7 +566,7 @@ class TestSegmentMemoAdmission:
         self, serving_setup
     ):
         system, addresses = self._warmed(serving_setup)
-        keys = set(system.segment_cache.keys())
+        keys = set(system.caches.segments.keys())
         assert len(keys) == 2 * len(addresses)
         # Every (first, last) below cuts both spans short of an edge.
         ranges = [(first, last) for first in range(2, 8) for last in range(10, 16)]
@@ -575,7 +575,7 @@ class TestSegmentMemoAdmission:
                 answer_query(system, address, first, last)
         for first in range(2, 13):
             answer_batch_query(system, addresses, first, first + 3)  # quarter chain
-        assert set(system.segment_cache.keys()) == keys
+        assert set(system.caches.segments.keys()) == keys
 
     def test_whole_span_inside_a_range_is_still_filed_and_hit(
         self, serving_setup
@@ -584,7 +584,7 @@ class TestSegmentMemoAdmission:
         system = build_system(workload.bodies[:17], config)
         address = _onchain_address(workload)
         answer_query(system, address, 5, 16)  # 1-8 clipped, 9-16 whole
-        assert [key[2:4] for key in system.segment_cache.keys()] == [(9, 16)]
+        assert [key[2:4] for key in system.caches.segments.keys()] == [(9, 16)]
         hits = system.caches.stats()["segments"]["hits"]
         answer_query(system, address, 3, 16)  # a different range, same span
         answer_query(system, address)
@@ -594,4 +594,4 @@ class TestSegmentMemoAdmission:
         system, addresses = self._warmed(serving_setup)
         evicted = system.caches.on_reorg(12)
         assert evicted["segments"] == len(addresses)
-        assert {key[2:4] for key in system.segment_cache.keys()} == {(1, 8)}
+        assert {key[2:4] for key in system.caches.segments.keys()} == {(1, 8)}

@@ -177,7 +177,6 @@ def test_incremental_append_matches_bulk_build(workload):
     grown = build_system(workload.bodies[:-4], config)
     for transactions in workload.bodies[-4:]:
         grown.append_block(transactions)
-    assert bulk.address_index is not None and grown.address_index is not None
     assert bulk.address_index.num_postings == grown.address_index.num_postings
     for address in list(_all_addresses(workload.bodies))[:100]:
         assert bulk.address_index.occurrences(

@@ -1,6 +1,4 @@
-"""Tests for on-disk chain and header persistence."""
-
-import json
+"""Tests for light-node header files."""
 
 import pytest
 
@@ -9,14 +7,7 @@ from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
-from repro.query.prover import answer_query
-from repro.query.verifier import verify_result
-from repro.storage.chain_store import (
-    load_headers,
-    load_system,
-    save_headers,
-    save_system,
-)
+from repro.storage.chain_store import load_headers, save_headers
 from repro.workload.generator import WorkloadParams, generate_workload
 from repro.workload.profiles import ProbeProfile
 
@@ -35,123 +26,6 @@ def small_system():
         workload.bodies, SystemConfig.lvq(bf_bytes=160, segment_len=8)
     )
     return workload, system
-
-
-class TestSystemRoundtrip:
-    def test_save_load_identical(self, small_system, tmp_path):
-        workload, system = small_system
-        save_system(system, tmp_path / "chain")
-        loaded = load_system(tmp_path / "chain")
-        assert loaded.config == system.config
-        assert loaded.tip_height == system.tip_height
-        for original, restored in zip(system.headers(), loaded.headers()):
-            assert original.serialize() == restored.serialize()
-
-    def test_loaded_system_answers_queries(self, small_system, tmp_path):
-        workload, system = small_system
-        save_system(system, tmp_path / "chain")
-        loaded = load_system(tmp_path / "chain")
-        address = workload.probe_addresses["P"]
-        result = answer_query(loaded, address)
-        history = verify_result(
-            result, loaded.headers(), loaded.config, address
-        )
-        assert len(history.transactions) == 4
-
-    def test_loaded_system_can_grow(self, small_system, tmp_path):
-        workload, system = small_system
-        save_system(system, tmp_path / "chain")
-        loaded = load_system(tmp_path / "chain")
-        extra = workload.bodies[3]  # any valid body works structurally
-        loaded.append_block(extra)
-        assert loaded.tip_height == system.tip_height + 1
-
-    def test_save_is_idempotent(self, small_system, tmp_path):
-        _workload, system = small_system
-        save_system(system, tmp_path / "chain")
-        save_system(system, tmp_path / "chain")
-        assert load_system(tmp_path / "chain").tip_height == system.tip_height
-
-
-class TestCorruptionDetection:
-    def _saved(self, small_system, tmp_path):
-        _workload, system = small_system
-        directory = tmp_path / "chain"
-        save_system(system, directory)
-        return directory
-
-    def test_missing_manifest(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        (directory / "manifest.json").unlink()
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_corrupt_manifest(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        (directory / "manifest.json").write_text("{not json")
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_unsupported_format(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        manifest["format"] = 99
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_truncated_bodies(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        raw = (directory / "bodies.dat").read_bytes()
-        (directory / "bodies.dat").write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_flipped_body_byte(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        raw = bytearray((directory / "bodies.dat").read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        (directory / "bodies.dat").write_bytes(bytes(raw))
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_header_body_mismatch(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        raw = bytearray((directory / "headers.dat").read_bytes())
-        raw[-1] ^= 0x01
-        (directory / "headers.dat").write_bytes(bytes(raw))
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_missing_bodies_file(self, small_system, tmp_path):
-        directory = self._saved(small_system, tmp_path)
-        (directory / "bodies.dat").unlink()
-        with pytest.raises(ChainError):
-            load_system(directory)
-
-    def test_partial_manifest_is_chain_error(self, small_system, tmp_path):
-        """Regression: a manifest cut mid-write must surface as the typed
-        ChainError, never as a raw JSONDecodeError traceback."""
-        directory = self._saved(small_system, tmp_path)
-        raw = (directory / "manifest.json").read_text()
-        for cut in (1, len(raw) // 3, len(raw) - 2):
-            (directory / "manifest.json").write_text(raw[:cut])
-            with pytest.raises(ChainError, match="corrupt chain manifest"):
-                load_system(directory)
-
-    def test_save_manifest_is_atomic(self, small_system, tmp_path):
-        """save_system goes through a side file + rename: after a save no
-        tmp file remains, and a stale tmp from a simulated earlier crash
-        is simply replaced rather than trusted."""
-        _workload, system = small_system
-        directory = tmp_path / "chain"
-        (tmp_path).mkdir(exist_ok=True)
-        directory.mkdir()
-        (directory / "manifest.json.tmp").write_text("{torn")
-        save_system(system, directory)
-        assert not (directory / "manifest.json.tmp").exists()
-        loaded = load_system(directory)
-        assert loaded.tip_height == system.tip_height
 
 
 class TestHeaderFiles:

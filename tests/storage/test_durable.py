@@ -8,7 +8,6 @@ from repro.errors import ChainError
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
-from repro.storage import load_system
 from repro.storage.durable import DurableStore, verify_store
 from repro.storage.vfs import CrashPoint, CrashVfs
 from repro.workload.generator import WorkloadParams, generate_workload
@@ -98,12 +97,6 @@ class TestRoundTrip:
                 CONFIG
             ) == answer_query(equivalent, address).serialize(CONFIG)
 
-    def test_load_system_dispatches_format_2(self, chains, tmp_path):
-        main, _ = chains
-        store = _store_at(tmp_path, main.bodies)
-        loaded = load_system(tmp_path / "store")
-        assert _headers(loaded) == _headers(store.system)
-
     def test_create_refuses_overwrite(self, chains, tmp_path):
         main, _ = chains
         _store_at(tmp_path, main.bodies[:4])
@@ -169,6 +162,33 @@ class TestRecovery:
         manifest = tmp_path / "store" / "manifest.json"
         manifest.write_text(manifest.read_text()[:37])
         with pytest.raises(ChainError, match="corrupt chain manifest"):
+            DurableStore.open(tmp_path / "store")
+
+    def test_missing_manifest_is_chain_error(self, chains, tmp_path):
+        main, _ = chains
+        _store_at(tmp_path, main.bodies)
+        (tmp_path / "store" / "manifest.json").unlink()
+        with pytest.raises(ChainError, match="no chain manifest"):
+            DurableStore.open(tmp_path / "store")
+
+    def test_missing_log_is_chain_error(self, chains, tmp_path):
+        main, _ = chains
+        _store_at(tmp_path, main.bodies)
+        (tmp_path / "store" / "chain.log").unlink()
+        with pytest.raises(ChainError, match="missing chain log"):
+            DurableStore.open(tmp_path / "store")
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [{"format": 1}, {"format": 99}, []],
+        ids=["format-1", "format-99", "not-an-object"],
+    )
+    def test_other_formats_are_refused(self, manifest, tmp_path):
+        """Format 2 is the one chain store: a snapshot-era (format 1)
+        or unknown manifest is refused, typed, not half-loaded."""
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ChainError, match="not a durable"):
             DurableStore.open(tmp_path / "store")
 
     def test_stray_manifest_tmp_is_harmless(self, chains, tmp_path):
