@@ -29,11 +29,16 @@ Two proof forms are implemented:
   is recomputed by the verifier and only endpoint filters ship.  The
   proof object *is* that encoding: the verifier replays the wire bytes
   directly, never building a filter object per node.
+
+A :class:`BmtReplayMemo` lets a verifier skip hash work an earlier
+replay already did at the same dyadic position, on exactly the same
+inputs.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bloom.bitarray import BitArray
@@ -68,6 +73,9 @@ _TAG_HASHES = {
 _TAG_BYTES = [bytes([tag]) for tag in range(6)]
 #: Deepest nesting a decoded multiproof may have (a 2^64-block tree).
 _MAX_NESTING = 64
+#: Entries a :class:`BmtReplayMemo` holds before it starts over: every
+#: node of two full 1,024-leaf trees.
+REPLAY_MEMO_ENTRIES = 2 * (2 * 1024 - 1)
 
 
 class EndpointKind(enum.Enum):
@@ -368,6 +376,47 @@ class VerifiedBmt:
         self.num_endpoints = num_endpoints
 
 
+class BmtReplayMemo:
+    """The hashes earlier multiproof replays computed, by tree position.
+
+    BMTs are built over aligned dyadic merge sets (:class:`BmtForest`),
+    so every proof over the same blocks passes through the same nodes.
+    ``entries`` maps a node's ``(start height, layer)`` to ``(hash, bits,
+    filter, children)``: the node hash a replay computed, the filter as
+    an ``int``, the exact filter bytes, and ``left || right`` child
+    hashes when the hash was computed from them (``None`` for a leaf,
+    whose hash is ``H(filter)``).  An internal stub ships its own hash
+    and records nothing, but may still take ``bits`` from an entry
+    another proof left at its position.
+
+    A replay takes an entry's output only when its own inputs equal the
+    entry's byte for byte, so the memo is a cache of a pure function: it
+    skips ``from_bytes``, ``to_bytes`` and SHA-256 work and cannot change
+    which proofs are accepted.  Every structural and filter check still
+    runs on every node.  Entries from rejected proofs or an abandoned
+    fork are harmless for the same reason.  Concurrent replays may share
+    one memo: entries are immutable tuples that each replay validates
+    against its own inputs, and stores take a lock so the bound holds.
+    """
+
+    __slots__ = ("entries", "_lock")
+
+    def __init__(self) -> None:
+        self.entries: "Dict[Tuple[int, int], tuple]" = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def remember(self, key: "Tuple[int, int]", entry: tuple) -> None:
+        """Store ``entry`` at ``key``; a full memo is emptied first."""
+        with self._lock:
+            entries = self.entries
+            if len(entries) >= REPLAY_MEMO_ENTRIES and key not in entries:
+                entries.clear()
+            entries[key] = entry
+
+
 class BmtMultiProof:
     """Merged endpoint proof for one BMT (the form LVQ queries ship).
 
@@ -416,12 +465,15 @@ class BmtMultiProof:
         num_hashes: int,
         query_range: "Optional[Tuple[int, int]]" = None,
         positions: "Optional[List[int]]" = None,
+        memo: "Optional[BmtReplayMemo]" = None,
     ) -> VerifiedBmt:
         """Check the proof against a trusted ``expected_root``.
 
         ``positions`` optionally supplies the item's precomputed
         checked-bit positions for ``(num_hashes, size_bits)`` — the
         caller must have derived them for exactly that geometry.
+        ``memo`` reuses and records node hashes across proofs; the
+        outcome is the same with or without it.
 
         Raises :class:`VerificationError` on any inconsistency.  On
         success, the union of ``clean_ranges`` and ``failed_heights``
@@ -466,6 +518,7 @@ class BmtMultiProof:
             result,
             num_blocks.bit_length() - 1,
             start_height,
+            memo,
         )
         if hash_value != expected_root:
             raise VerificationError("BMT multiproof root hash mismatch")
@@ -564,16 +617,32 @@ def _replay(
     result: VerifiedBmt,
     depth: int,
     start_height: int,
+    memo: "Optional[BmtReplayMemo]",
 ) -> bytes:
     """Replay a multiproof image bottom-up; returns the root hash.
 
     Every shipped filter is hashed as received and read into an ``int``
     once, for the checked-bit test and its parent's OR (Eq 3); every
     recomputed parent is ``left | right`` turned back into bytes once,
-    for its Eq-2 hash.
+    for its Eq-2 hash.  With a ``memo``, a node whose inputs equal its
+    position's entry takes the entry's ``int`` and hash instead, and a
+    node that computed them records them there.
     """
     clean_ranges = result.clean_ranges
     failed_heights = result.failed_heights
+    if memo is not None:
+        recall = memo.entries.get
+        remember = memo.remember
+
+    def leaf_digest(entry, start: int, bf: bytes, bits: int) -> bytes:
+        # Only leaves record entries at layer 0, so a matching entry
+        # holds H(bf).
+        if entry is not None:
+            return entry[0]
+        hash_value = tagged_hash(_LEAF_TAG, bf)
+        if memo is not None:
+            remember((start, 0), (hash_value, bits, bf, None))
+        return hash_value
 
     def node(pos: int, layer: int, start: int) -> Tuple[bytes, int, int]:
         tag = data[pos]
@@ -591,8 +660,20 @@ def _replay(
                     "descent past a node whose check already succeeds "
                     f"(layer {layer}, start {start}) — proof is not minimal"
                 )
+            if memo is not None:
+                children = left_hash + right_hash
+                entry = recall((start, layer))
+                if (
+                    entry is not None
+                    and entry[3] == children
+                    and entry[1] == bits
+                    and len(entry[2]) == width
+                ):
+                    return entry[0], bits, pos
             merged = bits.to_bytes(width, "little")
             parent_hash = tagged_hash(_NODE_TAG, left_hash, right_hash, merged)
+            if memo is not None:
+                remember((start, layer), (parent_hash, bits, merged, children))
             return parent_hash, bits, pos
 
         hashes = _TAG_HASHES.get(tag)
@@ -600,8 +681,19 @@ def _replay(
             raise VerificationError(f"unknown multiproof node tag {tag}")
         bf_start = pos + HASH_SIZE * hashes
         end = bf_start + width
-        bf = data[bf_start:end]
-        bits = int.from_bytes(bf, "little")
+        entry = None
+        if memo is not None:
+            entry = recall((start, layer))
+            # The filter is compared where it lies, without a slice.
+            if entry is not None and not (
+                len(entry[2]) == width and data.startswith(entry[2], bf_start)
+            ):
+                entry = None
+        if entry is None:
+            bf = data[bf_start:end]
+            bits = int.from_bytes(bf, "little")
+        else:
+            bits, bf = entry[1], entry[2]
         span = 1 << layer
 
         if tag == _TAG_STUB_LEAF or tag == _TAG_STUB_INTERNAL:
@@ -614,7 +706,7 @@ def _replay(
             if tag == _TAG_STUB_LEAF:
                 if layer != 0:
                     raise VerificationError("leaf stub above layer 0")
-                return tagged_hash(_LEAF_TAG, bf), bits, end
+                return leaf_digest(entry, start, bf, bits), bits, end
             if layer == 0:
                 raise VerificationError("internal stub at leaf layer")
             return data[pos:bf_start], bits, end
@@ -630,7 +722,7 @@ def _replay(
                     "but every checked bit position is set"
                 )
             clean_ranges.append((start, start))
-            return tagged_hash(_LEAF_TAG, bf), bits, end
+            return leaf_digest(entry, start, bf, bits), bits, end
 
         if tag == _TAG_CLEAN_INTERNAL:
             if layer == 0:
@@ -641,10 +733,12 @@ def _replay(
                     "a successful check but every checked bit position is set"
                 )
             clean_ranges.append((start, start + span - 1))
-            middle = pos + HASH_SIZE
-            endpoint_hash = tagged_hash(
-                _NODE_TAG, data[pos:middle], data[middle:bf_start], bf
-            )
+            children = data[pos:bf_start]
+            if entry is not None and entry[3] == children:
+                return entry[0], bits, end
+            endpoint_hash = tagged_hash(_NODE_TAG, children, bf)
+            if memo is not None:
+                remember((start, layer), (endpoint_hash, bits, bf, children))
             return endpoint_hash, bits, end
 
         # _TAG_FAILED_LEAF
@@ -661,7 +755,7 @@ def _replay(
                 "some checked bit position is clear"
             )
         failed_heights.append(start)
-        return tagged_hash(_LEAF_TAG, bf), bits, end
+        return leaf_digest(entry, start, bf, bits), bits, end
 
     return node(0, depth, start_height)[0]
 

@@ -6,6 +6,9 @@ byte-counting transport, deserializes the response, runs the full §V
 verification, and only then exposes transactions and Equation-1 balances.
 A malicious full node makes ``query_history`` raise — it can never make
 it return a wrong history (that is the security claim the tests attack).
+
+Every BMT answer it verifies goes through one :class:`BmtReplayMemo`, so
+the node hashes a tree node once however many answers pass through it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.errors import (
     StaleChainError,
     VerificationError,
 )
+from repro.merkle.bmt import BmtReplayMemo
 from repro.node.full_node import FullNode
 from repro.node.messages import QueryRequest, QueryResponse
 from repro.node.transport import InProcessTransport, TransportStats
@@ -69,6 +73,8 @@ class LightNode:
         self.config = config
         #: Set by :meth:`query_history_any`: winner + per-peer stats.
         self.last_query_report: "Optional[MultiPeerReport]" = None
+        #: BMT hash work shared by every answer this node verifies.
+        self.bmt_memo = BmtReplayMemo()
 
     @classmethod
     def from_full_node(cls, full_node: FullNode) -> "LightNode":
@@ -199,7 +205,12 @@ class LightNode:
     ) -> VerifiedHistory:
         """Verify an already-received result against local headers."""
         return verify_result(
-            result, self.headers, self.config, address, expected_range
+            result,
+            self.headers,
+            self.config,
+            address,
+            expected_range,
+            memo=self.bmt_memo,
         )
 
     def sync_with_reorg(
@@ -385,6 +396,7 @@ class LightNode:
             self.config,
             list(addresses),
             expected_range,
+            memo=self.bmt_memo,
         )
 
     def query_balance(

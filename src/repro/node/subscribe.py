@@ -891,6 +891,7 @@ class SubscriptionSession:
                 config,
                 list(self.watched),
                 (height, height),
+                memo=self.light.bmt_memo,
             )
         except VerificationError as error:
             self.stats.updates_rejected += 1

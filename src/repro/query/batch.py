@@ -28,6 +28,7 @@ from repro.errors import (
     QueryError,
     VerificationError,
 )
+from repro.merkle.bmt import BmtReplayMemo
 from repro.query.builder import BuiltSystem
 from repro.query.config import SystemConfig, bf_commitment
 from repro.query.fragments import SegmentProof, _serialize_resolution
@@ -304,8 +305,11 @@ def verify_batch_result(
     config: SystemConfig,
     expected_addresses: Optional[Sequence[str]] = None,
     expected_range: Optional[Tuple[int, int]] = None,
+    memo: Optional[BmtReplayMemo] = None,
 ) -> Dict[str, VerifiedHistory]:
-    """Verify a batch answer; returns one verified history per address."""
+    """Verify a batch answer; returns one verified history per address.
+
+    ``memo`` is passed to every per-address BMT verification."""
     if batch.kind is not config.kind:
         raise VerificationError(
             f"batch claims system {batch.kind.value}, chain runs "
@@ -346,7 +350,9 @@ def verify_batch_result(
                 first_height=batch.first_height,
                 last_height=batch.last_height,
             )
-            histories[address] = verify_result(result, headers, config, address)
+            histories[address] = verify_result(
+                result, headers, config, address, memo=memo
+            )
         return histories
 
     return _verify_shared_filter_batch(batch, headers, config)

@@ -42,6 +42,7 @@ from repro.errors import (
     CorrectnessError,
     VerificationError,
 )
+from repro.merkle.bmt import BmtReplayMemo
 from repro.merkle.tree import MerkleTree
 from repro.query.config import SystemConfig, SystemKind, bf_commitment
 from repro.query.fragments import (
@@ -97,12 +98,15 @@ def verify_result(
     config: SystemConfig,
     expected_address: Optional[str] = None,
     expected_range: "Optional[Tuple[int, int]]" = None,
+    memo: "Optional[BmtReplayMemo]" = None,
 ) -> VerifiedHistory:
     """Verify ``result`` against trusted ``headers``; raise on any flaw.
 
     ``expected_range`` pins the height range the caller asked for; when
     given, a result answering a different slice is rejected before any
     proof is examined (so a prover cannot silently narrow the question).
+    ``memo`` carries BMT hash work across calls (a light node passes its
+    own); it never changes the outcome.
     """
     if result.kind is not config.kind:
         raise VerificationError(
@@ -134,7 +138,7 @@ def verify_result(
             f"is not a valid slice of heights 1..{tip_height}"
         )
     if config.uses_bmt:
-        return _verify_segments(result, headers, config)
+        return _verify_segments(result, headers, config, memo)
     return _verify_per_block(result, headers, config)
 
 
@@ -143,7 +147,10 @@ def verify_result(
 
 
 def _verify_segments(
-    result: QueryResult, headers: Sequence[BlockHeader], config: SystemConfig
+    result: QueryResult,
+    headers: Sequence[BlockHeader],
+    config: SystemConfig,
+    memo: "Optional[BmtReplayMemo]",
 ) -> VerifiedHistory:
     assert config.segment_len is not None and result.segments is not None
     item = address_item(result.address)
@@ -175,6 +182,7 @@ def _verify_segments(
                 config.num_hashes,
                 query_range=clipped,
                 positions=cache.positions(config.num_hashes, config.bf_bits),
+                memo=memo,
             )
         except VerificationError as exc:
             raise CorrectnessError(

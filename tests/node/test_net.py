@@ -814,7 +814,7 @@ def test_repro_serve_subprocess_lifecycle(tmp_path):
     from repro.workload.generator import WorkloadParams, generate_workload
 
     src_root = os.path.dirname(os.path.dirname(repro.__file__))
-    process = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -833,37 +833,37 @@ def test_repro_serve_subprocess_lifecycle(tmp_path):
         stderr=subprocess.STDOUT,
         text=True,
         env={**os.environ, "PYTHONPATH": src_root},
-    )
-    try:
-        deadline = time.monotonic() + 60.0
-        address = None
-        while address is None:
-            line = process.stdout.readline()
-            assert (
-                process.poll() is None and time.monotonic() < deadline
-            ), f"daemon died before binding: {line!r}"
-            match = re.search(r"serving on ([0-9.]+):(\d+)", line)
-            if match:
-                address = (match.group(1), int(match.group(2)))
-
-        workload = generate_workload(
-            WorkloadParams(num_blocks=24, txs_per_block=6, seed=2020)
-        )
-        remote = RemoteFullNode(address)
+    ) as process:
         try:
-            assert remote.tip_height == 24  # genesis + 24 workload blocks
-            response = remote.handle_query(
-                QueryRequest(workload.probe_addresses["Addr4"]).serialize()
-            )
-            assert response and response[0] == 2  # QueryResponse tag
-        finally:
-            remote.close()
+            deadline = time.monotonic() + 60.0
+            address = None
+            while address is None:
+                line = process.stdout.readline()
+                assert (
+                    process.poll() is None and time.monotonic() < deadline
+                ), f"daemon died before binding: {line!r}"
+                match = re.search(r"serving on ([0-9.]+):(\d+)", line)
+                if match:
+                    address = (match.group(1), int(match.group(2)))
 
-        process.send_signal(signal.SIGTERM)
-        output = process.stdout.read()
-        assert process.wait(30.0) == 0
-        assert "draining..." in output
-        assert re.search(r"served \d+ frames over \d+ connections", output)
-    finally:
-        if process.poll() is None:
-            process.kill()
+            workload = generate_workload(
+                WorkloadParams(num_blocks=24, txs_per_block=6, seed=2020)
+            )
+            remote = RemoteFullNode(address)
+            try:
+                assert remote.tip_height == 24  # genesis + 24 workload blocks
+                response = remote.handle_query(
+                    QueryRequest(workload.probe_addresses["Addr4"]).serialize()
+                )
+                assert response and response[0] == 2  # QueryResponse tag
+            finally:
+                remote.close()
+
+            process.send_signal(signal.SIGTERM)
+            output = process.stdout.read()
+            assert process.wait(30.0) == 0
+            assert "draining..." in output
+            assert re.search(r"served \d+ frames over \d+ connections", output)
+        finally:
+            if process.poll() is None:
+                process.kill()

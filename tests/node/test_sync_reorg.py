@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StaleChainError, VerificationError
+from repro.errors import ReproError, StaleChainError, VerificationError
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.session import PartialHistory, QuerySession
@@ -86,6 +86,53 @@ class TestLightNodeEdgeCases:
             light.headers[-1].block_id()
             == longer.system.chain.header_at(longer.tip_height).block_id()
         )
+
+
+def _outcome(light, result, address, span):
+    try:
+        verified = light.verify(result, address, span)
+    except ReproError as error:
+        return type(error), str(error)
+    return [(height, tx.txid()) for height, tx in verified.transactions]
+
+
+def test_replay_memo_survives_a_reorg_without_changing_any_verdict(forked):
+    """A light node that verified old-fork answers and then followed the
+    longer fork accepts and rejects exactly what a fresh light node does:
+    its replay memo still holds old-fork nodes, and they match nothing
+    the new headers accept."""
+    main, alt = forked
+    old = _node(main.bodies)
+    light = LightNode.from_full_node(old)
+    addresses = [main.probe_addresses["P"], alt.probe_addresses["P"]]
+    spans = [(1, 14), (5, 12)]
+    old_answers = []
+    for address in addresses:
+        for span in spans:
+            old_answers.append((address, span, old.answer(address, *span)))
+            light.query_history(old, address, first_height=span[0], last_height=span[1])
+    warmed = len(light.bmt_memo)
+
+    longer = _node(main.bodies[:10] + alt.bodies[10:20])
+    assert light.sync_with_reorg(longer) == (5, 10)
+    assert len(light.bmt_memo) == warmed
+    fresh = LightNode.from_full_node(longer)
+    # The old fork grown to the new tip: its answers pass the tip check,
+    # so only the BMT and SMT roots in the new headers can refuse them.
+    old_grown = _node(main.bodies + alt.bodies[15:20])
+    assert old_grown.tip_height == longer.tip_height
+    cases = list(old_answers)
+    for address in addresses:
+        for span in [(1, 19), (5, 12), (9, 16)]:
+            cases.append((address, span, longer.answer(address, *span)))
+            cases.append((address, span, old_grown.answer(address, *span)))
+    verdicts = []
+    for address, span, result in cases:
+        expected = _outcome(fresh, result, address, span)
+        assert _outcome(light, result, address, span) == expected
+        verdicts.append(isinstance(expected, list))
+    assert verdicts.count(True) == len(addresses) * 3
+    assert verdicts.count(False) > len(old_answers)
 
 
 class TestSessionReorg:

@@ -22,8 +22,13 @@ from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof
 from repro.merkle.tree import MerkleBranch
 from repro.node.messages import (
     AggregatedBatchResponse,
+    BatchQueryResponse,
+    DeltaHeadersResponse,
+    ErrorResponse,
     HeadersRequest,
     HeadersResponse,
+    PushRetraction,
+    PushUpdate,
     QueryRequest,
     QueryResponse,
 )
@@ -72,14 +77,43 @@ def _decoders():
         ),
         ("batch_request", _batch_request),
         ("batch_result", _batch_result),
+        # The client-side responses below get their tag byte supplied, so
+        # the random bytes reach the payload decoder behind it.
         (
-            # Tag byte supplied, so the random bytes reach the blob table.
             "aggregated_batch_response",
             lambda raw: AggregatedBatchResponse.deserialize(
-                bytes([AggregatedBatchResponse.type_tag]) + raw, CONFIG
+                _tagged(AggregatedBatchResponse, raw), CONFIG
             ),
         ),
+        (
+            "batch_query_response",
+            lambda raw: BatchQueryResponse.deserialize(
+                _tagged(BatchQueryResponse, raw), CONFIG
+            ),
+        ),
+        (
+            "delta_headers_response",
+            lambda raw: DeltaHeadersResponse.deserialize(
+                _tagged(DeltaHeadersResponse, raw), 3
+            ),
+        ),
+        (
+            "push_update",
+            lambda raw: PushUpdate.deserialize(_tagged(PushUpdate, raw)),
+        ),
+        (
+            "push_retraction",
+            lambda raw: PushRetraction.deserialize(_tagged(PushRetraction, raw)),
+        ),
+        (
+            "error_response",
+            lambda raw: ErrorResponse.deserialize(_tagged(ErrorResponse, raw)),
+        ),
     ]
+
+
+def _tagged(message_cls, raw):
+    return bytes([message_cls.type_tag]) + raw
 
 
 def _batch_request(raw):

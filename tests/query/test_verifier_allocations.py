@@ -7,6 +7,9 @@ bytes once for its hash.  This decodes and verifies the golden vectors
 and fails if any Bloom-filter or bit-array object is constructed on the
 way — the per-node round trip the verifier used to make — so a change
 that brings it back fails here, with no harness to run.
+
+Across proofs, a light node's replay memo makes a second verification
+of the same answer hash no BMT node at all; the last test pins that.
 """
 
 import json
@@ -16,6 +19,8 @@ import pytest
 
 from repro.bloom.bitarray import BitArray
 from repro.bloom.filter import BloomFilter
+from repro.merkle import bmt, sorted_tree
+from repro.node.light_node import LightNode
 from repro.node.messages import AggregatedBatchResponse, QueryResponse
 from repro.query.batch import verify_batch_result
 from repro.query.verifier import verify_result
@@ -75,3 +80,33 @@ def test_aggregated_batch_verifies_without_filter_objects(
         batch, headers, config, vector["request"]["addresses"], span
     )
     assert constructed == []
+
+
+def test_second_verification_on_one_light_node_hashes_no_bmt_node(
+    lvq_system, monkeypatch
+):
+    vector, frame, span = _load("bmt_query_response")
+    address = vector["request"]["address"]
+    light = LightNode(lvq_system.headers(), lvq_system.config)
+    hashed = {"bmt": 0, "smt": 0}
+    for module, name in ((bmt, "bmt"), (sorted_tree, "smt")):
+
+        def counting(tag, *chunks, _real=module.tagged_hash, _name=name):
+            hashed[_name] += 1
+            return _real(tag, *chunks)
+
+        monkeypatch.setattr(module, "tagged_hash", counting)
+
+    def verify_and_count():
+        result = QueryResponse.deserialize(frame, lvq_system.config).result
+        verified = light.verify(result, address, span)
+        counts = dict(hashed)
+        hashed.update(bmt=0, smt=0)
+        return [tx.txid() for _height, tx in verified.transactions], counts
+
+    first, cold = verify_and_count()
+    second, warm = verify_and_count()
+    assert second == first
+    assert cold["bmt"] > 0 and warm["bmt"] == 0
+    # Resolutions are not memoised: their SMT branches fold again.
+    assert warm["smt"] == cold["smt"] > 0

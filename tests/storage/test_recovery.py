@@ -34,16 +34,18 @@ class TestCountingVfs:
 class TestCrashVfs:
     def test_partial_write_lands(self, tmp_path):
         vfs = CrashVfs(crash_at=3)
-        handle = vfs.open(tmp_path / "f", "wb")
-        with pytest.raises(CrashPoint):
-            handle.write(b"abcdef")
-        assert (tmp_path / "f").read_bytes() == b"abc"
+        with vfs.open(tmp_path / "f", "wb") as handle:
+            with pytest.raises(CrashPoint):
+                handle.write(b"abcdef")
+            # Read while the handle is still open: the crash itself must
+            # have flushed the partial bytes, not a later close().
+            assert (tmp_path / "f").read_bytes() == b"abc"
 
     def test_dead_vfs_refuses_everything(self, tmp_path):
         vfs = CrashVfs(crash_at=1)
-        handle = vfs.open(tmp_path / "f", "wb")
-        with pytest.raises(CrashPoint):
-            handle.write(b"xy")
+        with vfs.open(tmp_path / "f", "wb") as handle:
+            with pytest.raises(CrashPoint):
+                handle.write(b"xy")
         assert vfs.dead
         with pytest.raises(CrashPoint):
             vfs.open(tmp_path / "g", "wb")
@@ -52,18 +54,18 @@ class TestCrashVfs:
 
     def test_crash_on_fsync_skips_the_sync(self, tmp_path):
         vfs = CrashVfs(crash_at=4)
-        handle = vfs.open(tmp_path / "f", "wb")
-        handle.write(b"abc")  # 3 fault points, all land
-        with pytest.raises(CrashPoint):
-            vfs.fsync(handle)  # 4th point: dies before syncing
+        with vfs.open(tmp_path / "f", "wb") as handle:
+            handle.write(b"abc")  # 3 fault points, all land
+            with pytest.raises(CrashPoint):
+                vfs.fsync(handle)  # 4th point: dies before syncing
 
     def test_exact_boundary_crashes_on_next_op(self, tmp_path):
         vfs = CrashVfs(crash_at=3)
-        handle = vfs.open(tmp_path / "f", "wb")
-        handle.write(b"abc")  # exactly exhausts the budget
-        with pytest.raises(CrashPoint):
-            handle.write(b"d")
-        assert (tmp_path / "f").read_bytes() == b"abc"
+        with vfs.open(tmp_path / "f", "wb") as handle:
+            handle.write(b"abc")  # exactly exhausts the budget
+            with pytest.raises(CrashPoint):
+                handle.write(b"d")
+            assert (tmp_path / "f").read_bytes() == b"abc"
 
     def test_crash_point_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ them; nothing rewrites them).  The tests pin that the prover still
 writes exactly those bytes, that they decode and re-encode to
 themselves, that they verify to the recorded history, and — for the
 BMT vector — that flipping any single bit of a multiproof's tags,
-hashes or filters is rejected.
+hashes or filters is rejected, identically by a cold verifier and by a
+light node whose replay memo is warm.
 """
 
 import json
@@ -17,6 +18,7 @@ import pathlib
 import pytest
 
 from repro.errors import ReproError
+from repro.node.light_node import LightNode
 from repro.node.messages import AggregatedBatchResponse, QueryResponse
 from repro.query.batch import answer_batch_query, verify_batch_result
 from repro.query.fragments import ExistenceResolution, FpmResolution
@@ -182,3 +184,46 @@ def test_every_single_bit_flip_in_the_bmt_vector_is_rejected(
         accepted.append((offset, bit, what, history(verified)))
     assert len(sites) > 100
     assert accepted == []
+
+
+def outcome(verify):
+    """The recorded history ``verify()`` accepts, or its exception."""
+    try:
+        return history(verify())
+    except ReproError as error:
+        return type(error), str(error)
+
+
+def test_warm_memo_rejects_every_bit_flip_exactly_as_cold(
+    lvq_system, bmt_vector
+):
+    """A light node whose replay memo already holds every node of the
+    honest vector — and then every node of each flipped frame before it
+    — rejects each flip with the same exception and message as a
+    verifier with no memo."""
+    config = lvq_system.config
+    headers = trusted_headers(lvq_system, bmt_vector)
+    address = bmt_vector["request"]["address"]
+    span = request_range(bmt_vector)
+    frame = bytes.fromhex(bmt_vector["hex"])
+    light = LightNode(headers, config)
+
+    def verified(raw, memo):
+        result = QueryResponse.deserialize(raw, config).result
+        return verify_result(result, headers, config, address, span, memo=memo)
+
+    assert outcome(lambda: verified(frame, light.bmt_memo)) == bmt_vector[
+        "verified"
+    ]
+    sites = list(flip_sites(frame, QueryResponse.deserialize(frame, config).result))
+    for offset, bit, what in sites:
+        mutated = bytearray(frame)
+        mutated[offset] ^= 1 << bit
+        cold = outcome(lambda: verified(bytes(mutated), None))
+        warm = outcome(lambda: verified(bytes(mutated), light.bmt_memo))
+        assert isinstance(cold, tuple), (offset, bit, what)
+        assert warm == cold, (offset, bit, what)
+    assert len(sites) == 178
+    assert outcome(lambda: verified(frame, light.bmt_memo)) == bmt_vector[
+        "verified"
+    ]
