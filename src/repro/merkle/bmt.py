@@ -30,22 +30,24 @@ Two proof forms are implemented:
   proof object *is* that encoding: the verifier replays the wire bytes
   directly, never building a filter object per node.
 
-A :class:`BmtReplayMemo` lets a verifier skip hash work an earlier
-replay already did at the same dyadic position, on exactly the same
-inputs.
+A verifier memo (``nodes`` of :class:`repro.query.memo.VerifierMemo`)
+lets a verifier skip hash work an earlier replay already did at the same
+dyadic position, on exactly the same inputs.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bloom.bitarray import BitArray
 from repro.bloom.filter import BloomFilter, bloom_positions
 from repro.crypto.encoding import ByteReader, write_varint
 from repro.crypto.hashing import HASH_SIZE, tagged_hash
 from repro.errors import EncodingError, ProofError, VerificationError
+
+if TYPE_CHECKING:
+    from repro.query.memo import VerifierMemo
 
 _LEAF_TAG = "bmt/leaf"
 _NODE_TAG = "bmt/node"
@@ -73,9 +75,6 @@ _TAG_HASHES = {
 _TAG_BYTES = [bytes([tag]) for tag in range(6)]
 #: Deepest nesting a decoded multiproof may have (a 2^64-block tree).
 _MAX_NESTING = 64
-#: Entries a :class:`BmtReplayMemo` holds before it starts over: every
-#: node of two full 1,024-leaf trees.
-REPLAY_MEMO_ENTRIES = 2 * (2 * 1024 - 1)
 
 
 class EndpointKind(enum.Enum):
@@ -376,47 +375,6 @@ class VerifiedBmt:
         self.num_endpoints = num_endpoints
 
 
-class BmtReplayMemo:
-    """The hashes earlier multiproof replays computed, by tree position.
-
-    BMTs are built over aligned dyadic merge sets (:class:`BmtForest`),
-    so every proof over the same blocks passes through the same nodes.
-    ``entries`` maps a node's ``(start height, layer)`` to ``(hash, bits,
-    filter, children)``: the node hash a replay computed, the filter as
-    an ``int``, the exact filter bytes, and ``left || right`` child
-    hashes when the hash was computed from them (``None`` for a leaf,
-    whose hash is ``H(filter)``).  An internal stub ships its own hash
-    and records nothing, but may still take ``bits`` from an entry
-    another proof left at its position.
-
-    A replay takes an entry's output only when its own inputs equal the
-    entry's byte for byte, so the memo is a cache of a pure function: it
-    skips ``from_bytes``, ``to_bytes`` and SHA-256 work and cannot change
-    which proofs are accepted.  Every structural and filter check still
-    runs on every node.  Entries from rejected proofs or an abandoned
-    fork are harmless for the same reason.  Concurrent replays may share
-    one memo: entries are immutable tuples that each replay validates
-    against its own inputs, and stores take a lock so the bound holds.
-    """
-
-    __slots__ = ("entries", "_lock")
-
-    def __init__(self) -> None:
-        self.entries: "Dict[Tuple[int, int], tuple]" = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def remember(self, key: "Tuple[int, int]", entry: tuple) -> None:
-        """Store ``entry`` at ``key``; a full memo is emptied first."""
-        with self._lock:
-            entries = self.entries
-            if len(entries) >= REPLAY_MEMO_ENTRIES and key not in entries:
-                entries.clear()
-            entries[key] = entry
-
-
 class BmtMultiProof:
     """Merged endpoint proof for one BMT (the form LVQ queries ship).
 
@@ -465,7 +423,7 @@ class BmtMultiProof:
         num_hashes: int,
         query_range: "Optional[Tuple[int, int]]" = None,
         positions: "Optional[List[int]]" = None,
-        memo: "Optional[BmtReplayMemo]" = None,
+        memo: "Optional[VerifierMemo]" = None,
     ) -> VerifiedBmt:
         """Check the proof against a trusted ``expected_root``.
 
@@ -617,7 +575,7 @@ def _replay(
     result: VerifiedBmt,
     depth: int,
     start_height: int,
-    memo: "Optional[BmtReplayMemo]",
+    memo: "Optional[VerifierMemo]",
 ) -> bytes:
     """Replay a multiproof image bottom-up; returns the root hash.
 
@@ -631,8 +589,8 @@ def _replay(
     clean_ranges = result.clean_ranges
     failed_heights = result.failed_heights
     if memo is not None:
-        recall = memo.entries.get
-        remember = memo.remember
+        recall = memo.nodes.get
+        remember = memo.remember_node
 
     def leaf_digest(entry, start: int, bf: bytes, bits: int) -> bytes:
         # Only leaves record entries at layer 0, so a matching entry

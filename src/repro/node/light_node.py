@@ -7,8 +7,10 @@ verification, and only then exposes transactions and Equation-1 balances.
 A malicious full node makes ``query_history`` raise — it can never make
 it return a wrong history (that is the security claim the tests attack).
 
-Every BMT answer it verifies goes through one :class:`BmtReplayMemo`, so
-the node hashes a tree node once however many answers pass through it.
+Every answer it verifies goes through one :class:`VerifierMemo`, so the
+node hashes a BMT node once however many answers pass through it, and
+decodes and verifies a block-level resolution once however often the
+same evidence comes back.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from repro.errors import (
     StaleChainError,
     VerificationError,
 )
-from repro.merkle.bmt import BmtReplayMemo
 from repro.node.full_node import FullNode
 from repro.node.messages import QueryRequest, QueryResponse
 from repro.node.transport import InProcessTransport, TransportStats
 from repro.query.config import SystemConfig
+from repro.query.memo import VerifierMemo
 from repro.query.verifier import VerifiedHistory, verify_result
 
 
@@ -73,8 +75,9 @@ class LightNode:
         self.config = config
         #: Set by :meth:`query_history_any`: winner + per-peer stats.
         self.last_query_report: "Optional[MultiPeerReport]" = None
-        #: BMT hash work shared by every answer this node verifies.
-        self.bmt_memo = BmtReplayMemo()
+        #: BMT hash work and accepted resolutions shared by every answer
+        #: this node verifies.
+        self.memo = VerifierMemo()
 
     @classmethod
     def from_full_node(cls, full_node: FullNode) -> "LightNode":
@@ -104,6 +107,7 @@ class LightNode:
             return 0
         removed = self.tip_height - height
         del self.headers[height + 1 :]
+        self.memo.forget_resolutions()
         return removed
 
     # -- header sync ---------------------------------------------------------
@@ -190,7 +194,9 @@ class LightNode:
         response_bytes = transport.send_to_client(
             full_node.handle_query(request_bytes)
         )
-        response = QueryResponse.deserialize(response_bytes, self.config)
+        response = QueryResponse.deserialize(
+            response_bytes, self.config, memo=self.memo
+        )
         expected_range = (
             first_height,
             last_height if last_height is not None else self.tip_height,
@@ -210,7 +216,7 @@ class LightNode:
             self.config,
             address,
             expected_range,
-            memo=self.bmt_memo,
+            memo=self.memo,
         )
 
     def sync_with_reorg(
@@ -279,6 +285,9 @@ class LightNode:
         replaced = len(self.headers) - (fork_height + 1)
         appended = len(remote) - (fork_height + 1)
         self.headers = list(remote)
+        # Resolutions accepted under the old headers' roots can never
+        # match again; drop them rather than let them hold the bound.
+        self.memo.forget_resolutions()
         return replaced, appended
 
     def query_history_any(
@@ -396,7 +405,7 @@ class LightNode:
             self.config,
             list(addresses),
             expected_range,
-            memo=self.bmt_memo,
+            memo=self.memo,
         )
 
     def query_balance(

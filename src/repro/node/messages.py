@@ -10,7 +10,7 @@ one-byte type tag plus a length-exact payload.  The transport layer counts
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.chain.block import BlockHeader, deserialize_extension
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
@@ -18,6 +18,9 @@ from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError
 from repro.query.config import SystemConfig
 from repro.query.result import QueryResult
+
+if TYPE_CHECKING:
+    from repro.query.memo import VerifierMemo
 
 _MSG_QUERY_REQUEST = 1
 _MSG_QUERY_RESPONSE = 2
@@ -114,10 +117,15 @@ class QueryResponse:
         return bytes([self.type_tag]) + self.result.serialize(config)
 
     @classmethod
-    def deserialize(cls, payload: bytes, config: SystemConfig) -> "QueryResponse":
+    def deserialize(
+        cls,
+        payload: bytes,
+        config: SystemConfig,
+        memo: "Optional[VerifierMemo]" = None,
+    ) -> "QueryResponse":
         if not payload or payload[0] != cls.type_tag:
             raise EncodingError("not a query response")
-        return cls(QueryResult.deserialize(payload[1:], config))
+        return cls(QueryResult.deserialize(payload[1:], config, memo=memo))
 
 
 class BatchQueryRequest:

@@ -891,7 +891,7 @@ class SubscriptionSession:
                 config,
                 list(self.watched),
                 (height, height),
-                memo=self.light.bmt_memo,
+                memo=self.light.memo,
             )
         except VerificationError as error:
             self.stats.updates_rejected += 1

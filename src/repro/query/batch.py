@@ -28,10 +28,10 @@ from repro.errors import (
     QueryError,
     VerificationError,
 )
-from repro.merkle.bmt import BmtReplayMemo
 from repro.query.builder import BuiltSystem
 from repro.query.config import SystemConfig, bf_commitment
 from repro.query.fragments import SegmentProof, _serialize_resolution
+from repro.query.memo import VerifierMemo
 from repro.query.prover import _resolve_block, answer_query
 from repro.query.result import QueryResult
 from repro.query.verifier import (
@@ -305,7 +305,7 @@ def verify_batch_result(
     config: SystemConfig,
     expected_addresses: Optional[Sequence[str]] = None,
     expected_range: Optional[Tuple[int, int]] = None,
-    memo: Optional[BmtReplayMemo] = None,
+    memo: Optional[VerifierMemo] = None,
 ) -> Dict[str, VerifiedHistory]:
     """Verify a batch answer; returns one verified history per address.
 

@@ -17,12 +17,15 @@ Non-BMT systems answer with one :class:`PerBlockAnswer` per block
 systems answer with one :class:`SegmentProof` per covering (sub-)segment.
 
 Every class serializes byte-exactly; reported result sizes are always
-``len(serialize())``.
+``len(serialize())``.  A light node decodes segment proofs with its
+:class:`~repro.query.memo.VerifierMemo` (``memo=``): each resolution
+then arrives as a :class:`WireResolution`, and one whose exact bytes the
+memo already accepted for the same address and height is not decoded.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.bloom.filter import BloomFilter
 from repro.chain.transaction import Transaction
@@ -32,6 +35,9 @@ from repro.merkle.bmt import BmtMultiProof
 from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof
 from repro.merkle.tree import MerkleBranch
 from repro.query.config import SystemConfig
+
+if TYPE_CHECKING:
+    from repro.query.memo import VerifierMemo
 
 _RES_EXISTENCE = 0
 _RES_FPM = 1
@@ -199,6 +205,57 @@ def _deserialize_resolution(reader: ByteReader):
     return cls.deserialize(reader)
 
 
+class WireResolution:
+    """A resolution held as its exact wire bytes, tag byte first.
+
+    What a segment proof decoded with ``memo=`` carries per height:
+    ``wire`` is what the verifier's memo is keyed on, and
+    :meth:`decoded` is the resolution object — built at decode time on a
+    memo miss, and only on first use after a hit.
+    """
+
+    __slots__ = ("wire", "_decoded")
+
+    def __init__(self, wire: bytes, decoded=None) -> None:
+        self.wire = wire
+        self._decoded = decoded
+
+    @property
+    def tag(self) -> int:
+        return self.wire[0]
+
+    def decoded(self):
+        if self._decoded is None:
+            reader = ByteReader(self.wire)
+            self._decoded = _deserialize_resolution(reader)
+            reader.finish()
+        return self._decoded
+
+    def serialize(self) -> bytes:
+        return self.wire[1:]
+
+
+#: What a :class:`SegmentProof` may carry per failed height.
+_SEGMENT_RESOLUTION = BlockResolution + (WireResolution,)
+
+
+def _read_wire_resolution(
+    reader: ByteReader, memo: "VerifierMemo", key: "tuple"
+) -> WireResolution:
+    """The resolution at ``reader`` as a :class:`WireResolution`; not
+    decoded when it starts with the exact bytes ``memo`` accepted under
+    ``key``.  The encoding is self-delimiting — every field is a fixed
+    width or carries its own length or count — so bytes that begin with
+    an accepted resolution decode to exactly it and end where it ends."""
+    data = reader.buffer
+    start = reader.offset
+    entry = memo.resolutions.get(key)
+    if entry is not None and data.startswith(entry[0], start):
+        return WireResolution(reader.bytes(len(entry[0])))
+    resolution = _deserialize_resolution(reader)
+    return WireResolution(data[start : reader.offset], resolution)
+
+
 class PerBlockAnswer:
     """One block's answer on a non-BMT system (the strawman's fragment).
 
@@ -273,7 +330,7 @@ class SegmentProof:
                 raise ProofError(
                     f"resolution height {height} outside [{start},{end}]"
                 )
-            if not isinstance(resolution, BlockResolution):
+            if not isinstance(resolution, _SEGMENT_RESOLUTION):
                 raise ProofError(
                     f"bad resolution type {type(resolution).__name__}"
                 )
@@ -301,7 +358,16 @@ class SegmentProof:
         return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, reader: ByteReader, config: SystemConfig) -> "SegmentProof":
+    def deserialize(
+        cls,
+        reader: ByteReader,
+        config: SystemConfig,
+        memo: "Optional[VerifierMemo]" = None,
+        address: str = "",
+    ) -> "SegmentProof":
+        """Decode one segment proof.  With ``memo``, every resolution is
+        a :class:`WireResolution`, and one whose bytes ``memo`` accepted
+        for ``(height, address)`` is not decoded at all."""
         anchor = reader.varint()
         start = reader.varint()
         end = reader.varint()
@@ -316,5 +382,10 @@ class SegmentProof:
             height = reader.varint()
             if height in resolutions:
                 raise EncodingError(f"duplicate resolution height {height}")
-            resolutions[height] = _deserialize_resolution(reader)
+            if memo is None:
+                resolutions[height] = _deserialize_resolution(reader)
+            else:
+                resolutions[height] = _read_wire_resolution(
+                    reader, memo, (height, address)
+                )
         return cls(anchor, start, end, multiproof, resolutions)

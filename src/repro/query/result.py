@@ -9,7 +9,7 @@ into the categories Fig 14 plots (BMT branches vs everything else).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
 from repro.errors import EncodingError, ProofError
@@ -21,6 +21,9 @@ from repro.query.fragments import (
     PerBlockAnswer,
     SegmentProof,
 )
+
+if TYPE_CHECKING:
+    from repro.query.memo import VerifierMemo
 
 
 class SizeBreakdown:
@@ -198,7 +201,15 @@ class QueryResult:
         return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, payload: bytes, config: SystemConfig) -> "QueryResult":
+    def deserialize(
+        cls,
+        payload: bytes,
+        config: SystemConfig,
+        memo: "Optional[VerifierMemo]" = None,
+    ) -> "QueryResult":
+        """Decode a result; ``memo`` is handed to every segment proof
+        (:meth:`SegmentProof.deserialize`) and unused on per-block
+        systems."""
         reader = ByteReader(payload)
         try:
             address = reader.var_bytes().decode("utf-8")
@@ -214,7 +225,8 @@ class QueryResult:
         blocks = None
         if config.uses_bmt:
             segments = [
-                SegmentProof.deserialize(reader, config) for _ in range(count)
+                SegmentProof.deserialize(reader, config, memo, address)
+                for _ in range(count)
             ]
         else:
             blocks = [

@@ -42,14 +42,15 @@ from repro.errors import (
     CorrectnessError,
     VerificationError,
 )
-from repro.merkle.bmt import BmtReplayMemo
 from repro.merkle.tree import MerkleTree
 from repro.query.config import SystemConfig, SystemKind, bf_commitment
 from repro.query.fragments import (
     ExistenceResolution,
     FpmResolution,
     IntegralBlockResolution,
+    WireResolution,
 )
+from repro.query.memo import VerifierMemo
 from repro.query.result import QueryResult
 
 
@@ -98,15 +99,15 @@ def verify_result(
     config: SystemConfig,
     expected_address: Optional[str] = None,
     expected_range: "Optional[Tuple[int, int]]" = None,
-    memo: "Optional[BmtReplayMemo]" = None,
+    memo: "Optional[VerifierMemo]" = None,
 ) -> VerifiedHistory:
     """Verify ``result`` against trusted ``headers``; raise on any flaw.
 
     ``expected_range`` pins the height range the caller asked for; when
     given, a result answering a different slice is rejected before any
     proof is examined (so a prover cannot silently narrow the question).
-    ``memo`` carries BMT hash work across calls (a light node passes its
-    own); it never changes the outcome.
+    ``memo`` carries BMT hash work and accepted resolutions across calls
+    (a light node passes its own); it never changes the outcome.
     """
     if result.kind is not config.kind:
         raise VerificationError(
@@ -150,7 +151,7 @@ def _verify_segments(
     result: QueryResult,
     headers: Sequence[BlockHeader],
     config: SystemConfig,
-    memo: "Optional[BmtReplayMemo]",
+    memo: "Optional[VerifierMemo]",
 ) -> VerifiedHistory:
     assert config.segment_len is not None and result.segments is not None
     item = address_item(result.address)
@@ -199,16 +200,40 @@ def _verify_segments(
             )
         for height in failed:
             transactions.extend(
-                _verify_resolution(
+                _resolve(
                     segment.resolutions[height],
                     height,
                     headers[height],
                     config,
                     result.address,
+                    memo,
                 )
             )
     transactions.sort(key=lambda pair: pair[0])
     return VerifiedHistory(result.address, transactions, num_endpoints)
+
+
+def _resolve(
+    resolution,
+    height: int,
+    header: BlockHeader,
+    config: SystemConfig,
+    address: str,
+    memo: "Optional[VerifierMemo]",
+) -> "Sequence[Tuple[int, Transaction]]":
+    """:func:`_verify_resolution`, or what ``memo`` accepted before for
+    exactly these wire bytes at this height, for this address, under
+    these header roots.  Only acceptances are remembered."""
+    if memo is None or not isinstance(resolution, WireResolution):
+        return _verify_resolution(resolution, height, header, config, address)
+    key = (height, address)
+    roots = _roots_of(header)
+    entry = memo.resolutions.get(key)
+    if entry is not None and entry[0] == resolution.wire and entry[1] == roots:
+        return entry[2]
+    accepted = _verify_resolution(resolution, height, header, config, address)
+    memo.remember_resolution(key, (resolution.wire, roots, tuple(accepted)))
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +333,8 @@ def _verify_resolution(
     config: SystemConfig,
     address: str,
 ) -> List[Tuple[int, Transaction]]:
+    if isinstance(resolution, WireResolution):
+        resolution = resolution.decoded()
     if isinstance(resolution, ExistenceResolution):
         return _verify_existence(resolution, height, header, config, address)
     if isinstance(resolution, FpmResolution):
@@ -327,6 +354,14 @@ def _smt_root_of(header: BlockHeader, height: int) -> bytes:
     if isinstance(extension, BloomHashSmtExtension):
         return extension.smt_root
     raise VerificationError(f"height {height}: header commits to no SMT")
+
+
+def _roots_of(header: BlockHeader) -> "Tuple[bytes, Optional[bytes]]":
+    """Everything of ``header`` that :func:`_verify_resolution` reads."""
+    extension = header.extension
+    if isinstance(extension, (LvqExtension, BloomHashSmtExtension)):
+        return header.merkle_root, extension.smt_root
+    return header.merkle_root, None
 
 
 def _bmt_root_of(header: BlockHeader, height: int) -> bytes:

@@ -734,10 +734,12 @@ def test_queue_pressure_sheds_batch_class_with_typed_frame(
     feeders = []
     try:
         with NetServer(query_server, loop_thread=loop_thread) as server:
-            # Four interactive queries: one occupies the worker, three
-            # queue up and push the shedder past the low watermark.
+            # Three interactive queries: two or three queued (the gated
+            # worker may not have taken one yet) push the shedder past
+            # the low watermark and never reach the middle one (4), so
+            # the state is shed_batch however slowly the worker starts.
             request = QueryRequest("a").serialize()
-            for _ in range(4):
+            for _ in range(3):
                 sock = socket.create_connection(server.address, timeout=5.0)
                 sock.sendall(FRAME_HEADER.pack(len(request)) + request)
                 feeders.append(sock)

@@ -625,8 +625,11 @@ def test_cli_watch_streams_parseable_lines_and_stops_cleanly():
     finally:
         if watcher is not None and watcher.poll() is None:
             watcher.kill()
+            watcher.communicate()
         daemon.send_signal(signal.SIGTERM)
         try:
             daemon.wait(30.0)
         except subprocess.TimeoutExpired:
             daemon.kill()
+            daemon.wait()
+        daemon.stdout.close()

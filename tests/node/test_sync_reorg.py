@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ReproError, StaleChainError, VerificationError
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
+from repro.node.messages import QueryResponse
 from repro.node.session import PartialHistory, QuerySession
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
@@ -111,11 +112,13 @@ def test_replay_memo_survives_a_reorg_without_changing_any_verdict(forked):
         for span in spans:
             old_answers.append((address, span, old.answer(address, *span)))
             light.query_history(old, address, first_height=span[0], last_height=span[1])
-    warmed = len(light.bmt_memo)
+    warmed = len(light.memo.nodes)
+    assert light.memo.resolutions
 
     longer = _node(main.bodies[:10] + alt.bodies[10:20])
     assert light.sync_with_reorg(longer) == (5, 10)
-    assert len(light.bmt_memo) == warmed
+    assert len(light.memo.nodes) == warmed
+    assert light.memo.resolutions == {} and light.memo.resolution_bytes == 0
     fresh = LightNode.from_full_node(longer)
     # The old fork grown to the new tip: its answers pass the tip check,
     # so only the BMT and SMT roots in the new headers can refuse them.
@@ -133,6 +136,57 @@ def test_replay_memo_survives_a_reorg_without_changing_any_verdict(forked):
         verdicts.append(isinstance(expected, list))
     assert verdicts.count(True) == len(addresses) * 3
     assert verdicts.count(False) > len(old_answers)
+
+
+def _wire_outcome(light, result, address, span):
+    """Serialize, then decode and verify through ``light``'s memo — the
+    path ``query_history`` takes, resolution memo included."""
+    frame = QueryResponse(result).serialize(light.config)
+    try:
+        decoded = QueryResponse.deserialize(
+            frame, light.config, memo=light.memo
+        ).result
+        verified = light.verify(decoded, address, span)
+    except ReproError as error:
+        return type(error), str(error)
+    return [(height, tx.txid()) for height, tx in verified.transactions]
+
+
+def test_resolution_memo_after_a_reorg_gives_a_fresh_nodes_verdicts(forked):
+    """A light node whose resolution memo accepted old-fork answers
+    empties it when ``sync_with_reorg`` replaces headers, and from then on
+    decodes and verifies every answer — old fork, new fork, old fork
+    grown to the new tip — exactly as a fresh light node does."""
+    main, alt = forked
+    old = _node(main.bodies)
+    light = LightNode.from_full_node(old)
+    addresses = [main.probe_addresses["P"], alt.probe_addresses["P"]]
+    old_answers = []
+    for address in addresses:
+        for span in [(1, 14), (5, 12)]:
+            result = old.answer(address, *span)
+            old_answers.append((address, span, result))
+            assert isinstance(_wire_outcome(light, result, address, span), list)
+    assert light.memo.resolutions
+
+    longer = _node(main.bodies[:10] + alt.bodies[10:20])
+    assert light.sync_with_reorg(longer) == (5, 10)
+    assert light.memo.resolutions == {}
+    fresh = LightNode.from_full_node(longer)
+    old_grown = _node(main.bodies + alt.bodies[15:20])
+    cases = list(old_answers)
+    for address in addresses:
+        for span in [(1, 19), (5, 12), (9, 16)]:
+            cases.append((address, span, longer.answer(address, *span)))
+            cases.append((address, span, old_grown.answer(address, *span)))
+    for _round in range(2):  # the second round runs on a warm memo
+        verdicts = []
+        for address, span, result in cases:
+            expected = _wire_outcome(fresh, result, address, span)
+            assert _wire_outcome(light, result, address, span) == expected
+            verdicts.append(isinstance(expected, list))
+        assert verdicts.count(True) == len(addresses) * 3
+        assert verdicts.count(False) > len(old_answers)
 
 
 class TestSessionReorg:

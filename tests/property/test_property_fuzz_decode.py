@@ -3,11 +3,16 @@
 A full node's responses are attacker-controlled input, so every decoder
 must either return a valid object or raise a :class:`ReproError`
 subclass — never an uncontrolled ``IndexError``/``struct.error``/
-``MemoryError``.  Two generators: pure random bytes, and random
+``MemoryError``.  The random-bytes table covers every one of the 20
+message classes, ``decompress_frame``, the proof structures, and a
+``QueryResponse`` decoded through a light node's warm memo.  Two
+generators: pure random bytes, and random
 mutations of valid payloads (which reach much deeper into the parsers).
 A mutated payload that decodes must then either be rejected by the
 verifier or verify to exactly the honest history.
 """
+
+import functools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,19 +25,31 @@ from repro.errors import ReproError
 from repro.merkle.bmt import BmtMultiProof
 from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof
 from repro.merkle.tree import MerkleBranch
+from repro.node.light_node import LightNode
 from repro.node.messages import (
+    AggregatedBatchRequest,
     AggregatedBatchResponse,
     BatchQueryResponse,
+    DeltaHeadersRequest,
     DeltaHeadersResponse,
     ErrorResponse,
     HeadersRequest,
     HeadersResponse,
+    HelloRequest,
+    PingRequest,
+    PongResponse,
     PushRetraction,
     PushUpdate,
     QueryRequest,
     QueryResponse,
+    SubscribeAck,
+    SubscribeRequest,
+    SubscriptionEvicted,
+    UnsubscribeRequest,
 )
+from repro.node.transport import FRAME_ZLIB, decompress_frame
 from repro.query.batch import answer_batch_query, verify_batch_result
+from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
 from repro.query.result import QueryResult
@@ -109,11 +126,60 @@ def _decoders():
             "error_response",
             lambda raw: ErrorResponse.deserialize(_tagged(ErrorResponse, raw)),
         ),
+        (
+            "query_response_warm_memo",
+            lambda raw: QueryResponse.deserialize(
+                _tagged(QueryResponse, raw), CONFIG, memo=_warm_memo()
+            ),
+        ),
+        # Every other message class, tag supplied the same way.
+        *(
+            (name, functools.partial(_tagged_decode, message_cls))
+            for name, message_cls in (
+                ("delta_headers_request", DeltaHeadersRequest),
+                ("aggregated_batch_request", AggregatedBatchRequest),
+                ("ping_request", PingRequest),
+                ("pong_response", PongResponse),
+                ("hello_request", HelloRequest),
+                ("subscribe_request", SubscribeRequest),
+                ("subscribe_ack", SubscribeAck),
+                ("unsubscribe_request", UnsubscribeRequest),
+                ("subscription_evicted", SubscriptionEvicted),
+            )
+        ),
+        ("decompress_frame", decompress_frame),
+        (
+            "decompress_zlib_frame",
+            lambda raw: decompress_frame(bytes([FRAME_ZLIB]) + raw),
+        ),
     ]
 
 
 def _tagged(message_cls, raw):
     return bytes([message_cls.type_tag]) + raw
+
+
+def _tagged_decode(message_cls, raw):
+    return message_cls.deserialize(_tagged(message_cls, raw))
+
+
+@functools.lru_cache(maxsize=None)
+def _warm_memo():
+    """A light node's memo after it accepted whole-chain answers for two
+    addresses of a small chain built with ``CONFIG``."""
+    from repro.workload.generator import WorkloadParams, generate_workload
+
+    workload = generate_workload(
+        WorkloadParams(num_blocks=16, txs_per_block=5, seed=5)
+    )
+    system = build_system(workload.bodies, CONFIG)
+    light = LightNode(system.headers(), CONFIG)
+    for address in sorted(workload.bodies[3][0].addresses())[:2]:
+        frame = QueryResponse(answer_query(system, address)).serialize(CONFIG)
+        result = QueryResponse.deserialize(frame, CONFIG, memo=light.memo).result
+        light.verify(result, address)
+    assert light.memo.resolutions
+    return light.memo
 
 
 def _batch_request(raw):

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from repro.chain.address import address_item
 from repro.crypto.encoding import ByteReader
 from repro.errors import EncodingError, ReproError
-from repro.merkle import bmt
-from repro.merkle.bmt import REPLAY_MEMO_ENTRIES, BmtMultiProof, BmtReplayMemo
+from repro.merkle.bmt import BmtMultiProof
 from repro.node.light_node import LightNode
+from repro.query import memo as memo_module
 from repro.query.adversary import ALL_ATTACKS
+from repro.query.memo import REPLAY_MEMO_ENTRIES, VerifierMemo
 from repro.query.prover import answer_query
 from repro.query.verifier import _bmt_root_of, verify_result
 
@@ -161,7 +162,7 @@ def test_mutated_multiproof_replays_identically_warm_and_cold(
         )
     except EncodingError:
         return  # never reaches a verifier
-    memo = BmtReplayMemo()
+    memo = VerifierMemo()
     for warm_item, warm_clipped, warm_segment in segments:
         replay(
             lvq_system,
@@ -184,17 +185,17 @@ def test_mutated_multiproof_replays_identically_warm_and_cold(
 
 
 def test_memo_never_holds_more_than_its_bound():
-    memo = BmtReplayMemo()
+    memo = VerifierMemo()
     entry = (b"h" * 32, 0, b"", None)
     for start in range(2 * REPLAY_MEMO_ENTRIES + 3):
-        memo.remember((start, 0), entry)
-        assert len(memo) <= REPLAY_MEMO_ENTRIES
-    assert (2 * REPLAY_MEMO_ENTRIES + 2, 0) in memo.entries
+        memo.remember_node((start, 0), entry)
+        assert len(memo.nodes) <= REPLAY_MEMO_ENTRIES
+    assert (2 * REPLAY_MEMO_ENTRIES + 2, 0) in memo.nodes
     # Overwriting a position a full memo already holds keeps the rest.
-    while len(memo) < REPLAY_MEMO_ENTRIES:
-        memo.remember((len(memo), 1), entry)
-    memo.remember(next(iter(memo.entries)), entry)
-    assert len(memo) == REPLAY_MEMO_ENTRIES
+    while len(memo.nodes) < REPLAY_MEMO_ENTRIES:
+        memo.remember_node((len(memo.nodes), 1), entry)
+    memo.remember_node(next(iter(memo.nodes)), entry)
+    assert len(memo.nodes) == REPLAY_MEMO_ENTRIES
 
 
 def test_threads_sharing_one_memo_keep_outcomes_and_bound(
@@ -204,7 +205,7 @@ def test_threads_sharing_one_memo_keep_outcomes_and_bound(
     answer through one light node's memo under a tiny switch interval:
     far more than 9 positions pass through it, every verdict matches the
     cold one, and no store ever leaves more than 9 entries behind."""
-    monkeypatch.setattr(bmt, "REPLAY_MEMO_ENTRIES", 9)
+    monkeypatch.setattr(memo_module, "REPLAY_MEMO_ENTRIES", 9)
     headers, config = lvq_system.headers(), lvq_system.config
     light = LightNode(headers, config)
     answers = list(honest_answers(lvq_system, probe_addresses.values()))
@@ -214,15 +215,15 @@ def test_threads_sharing_one_memo_keep_outcomes_and_bound(
     ]
     positions = set()
     oversized = []
-    remember = BmtReplayMemo.remember
+    remember = VerifierMemo.remember_node
 
     def checked(memo, key, entry):
         remember(memo, key, entry)
         positions.add(key)
-        if len(memo) > 9:
-            oversized.append(len(memo))
+        if len(memo.nodes) > 9:
+            oversized.append(len(memo.nodes))
 
-    monkeypatch.setattr(BmtReplayMemo, "remember", checked)
+    monkeypatch.setattr(VerifierMemo, "remember_node", checked)
     mismatches = []
 
     def work():

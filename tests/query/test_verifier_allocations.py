@@ -8,8 +8,10 @@ and fails if any Bloom-filter or bit-array object is constructed on the
 way — the per-node round trip the verifier used to make — so a change
 that brings it back fails here, with no harness to run.
 
-Across proofs, a light node's replay memo makes a second verification
-of the same answer hash no BMT node at all; the last test pins that.
+Across proofs, a light node's memo makes a second verification of the
+same answer hash no BMT node at all, and — when the answer was decoded
+through the memo too — decode no transaction and fold no Merkle or SMT
+branch; the last two tests pin that.
 """
 
 import json
@@ -19,7 +21,8 @@ import pytest
 
 from repro.bloom.bitarray import BitArray
 from repro.bloom.filter import BloomFilter
-from repro.merkle import bmt, sorted_tree
+from repro.chain.transaction import Transaction
+from repro.merkle import bmt, sorted_tree, tree
 from repro.node.light_node import LightNode
 from repro.node.messages import AggregatedBatchResponse, QueryResponse
 from repro.query.batch import verify_batch_result
@@ -108,5 +111,52 @@ def test_second_verification_on_one_light_node_hashes_no_bmt_node(
     second, warm = verify_and_count()
     assert second == first
     assert cold["bmt"] > 0 and warm["bmt"] == 0
-    # Resolutions are not memoised: their SMT branches fold again.
+    # Decoded without the memo, resolutions carry no wire bytes to key
+    # on: their SMT branches fold again.
     assert warm["smt"] == cold["smt"] > 0
+
+
+def test_second_verification_decodes_no_transaction_and_folds_no_branch(
+    lvq_system, monkeypatch
+):
+    """Decoded and verified through one light node's memo, the golden
+    vector's resolutions come back from the memo the second time: no
+    ``Transaction.from_bytes``, no Merkle ``sha256d`` fold, no SMT
+    ``tagged_hash`` fold."""
+    vector, frame, span = _load("bmt_query_response")
+    address = vector["request"]["address"]
+    config = lvq_system.config
+    light = LightNode(lvq_system.headers(), config)
+    calls = {"from_bytes": 0, "merkle": 0, "smt": 0}
+    from_bytes = Transaction.from_bytes.__func__
+
+    def counting_from_bytes(cls, payload):
+        calls["from_bytes"] += 1
+        return from_bytes(cls, payload)
+
+    monkeypatch.setattr(
+        Transaction, "from_bytes", classmethod(counting_from_bytes)
+    )
+    for module, name, real in (
+        (tree, "sha256d", tree.sha256d),
+        (sorted_tree, "tagged_hash", sorted_tree.tagged_hash),
+    ):
+
+        def counting(*args, _real=real, _key="merkle" if module is tree else "smt"):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def verify_and_count():
+        result = QueryResponse.deserialize(frame, config, memo=light.memo).result
+        verified = light.verify(result, address, span)
+        counts = dict(calls)
+        calls.update(from_bytes=0, merkle=0, smt=0)
+        return [tx.txid() for _height, tx in verified.transactions], counts
+
+    first, cold = verify_and_count()
+    second, warm = verify_and_count()
+    assert second == first and first
+    assert min(cold.values()) > 0
+    assert warm == {"from_bytes": 0, "merkle": 0, "smt": 0}

@@ -209,10 +209,10 @@ def test_warm_memo_rejects_every_bit_flip_exactly_as_cold(
     light = LightNode(headers, config)
 
     def verified(raw, memo):
-        result = QueryResponse.deserialize(raw, config).result
+        result = QueryResponse.deserialize(raw, config, memo=memo).result
         return verify_result(result, headers, config, address, span, memo=memo)
 
-    assert outcome(lambda: verified(frame, light.bmt_memo)) == bmt_vector[
+    assert outcome(lambda: verified(frame, light.memo)) == bmt_vector[
         "verified"
     ]
     sites = list(flip_sites(frame, QueryResponse.deserialize(frame, config).result))
@@ -220,10 +220,10 @@ def test_warm_memo_rejects_every_bit_flip_exactly_as_cold(
         mutated = bytearray(frame)
         mutated[offset] ^= 1 << bit
         cold = outcome(lambda: verified(bytes(mutated), None))
-        warm = outcome(lambda: verified(bytes(mutated), light.bmt_memo))
+        warm = outcome(lambda: verified(bytes(mutated), light.memo))
         assert isinstance(cold, tuple), (offset, bit, what)
         assert warm == cold, (offset, bit, what)
     assert len(sites) == 178
-    assert outcome(lambda: verified(frame, light.bmt_memo)) == bmt_vector[
+    assert outcome(lambda: verified(frame, light.memo)) == bmt_vector[
         "verified"
     ]
