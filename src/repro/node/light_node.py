@@ -369,8 +369,9 @@ class LightNode:
         On strawman-family systems the per-block filters ship once for
         the whole batch — the amortization measured by
         ``bench_ablation_batch.py``.  With ``aggregated=True`` the server
-        responds in the blob-table encoding (§8.1); the decoded batch
-        goes through the identical ``verify_batch_result`` path.
+        responds in the blob-table encoding (§8.1), expanded back to the
+        plain image before decoding.  Either way the batch is decoded
+        and verified through this node's memo.
         """
         from repro.node.messages import (
             AggregatedBatchRequest,
@@ -394,7 +395,9 @@ class LightNode:
         response_bytes = transport.send_to_client(
             full_node.handle_batch_query(request_bytes)
         )
-        response = response_cls.deserialize(response_bytes, self.config)
+        response = response_cls.deserialize(
+            response_bytes, self.config, memo=self.memo
+        )
         expected_range = (
             first_height,
             last_height if last_height is not None else self.tip_height,

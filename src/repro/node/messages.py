@@ -190,13 +190,16 @@ class BatchQueryResponse:
 
     @classmethod
     def deserialize(
-        cls, payload: bytes, config: SystemConfig
+        cls,
+        payload: bytes,
+        config: SystemConfig,
+        memo: "Optional[VerifierMemo]" = None,
     ) -> "BatchQueryResponse":
         from repro.query.batch import BatchQueryResult
 
         if not payload or payload[0] != cls.type_tag:
             raise EncodingError("not a batch query response")
-        return cls(BatchQueryResult.deserialize(payload[1:], config))
+        return cls(BatchQueryResult.deserialize(payload[1:], config, memo=memo))
 
 
 class HeadersRequest:
@@ -395,13 +398,16 @@ class AggregatedBatchResponse:
 
     @classmethod
     def deserialize(
-        cls, payload: bytes, config: SystemConfig
+        cls,
+        payload: bytes,
+        config: SystemConfig,
+        memo: "Optional[VerifierMemo]" = None,
     ) -> "AggregatedBatchResponse":
         from repro.query.aggregate import decode_aggregated_batch
 
         if not payload or payload[0] != cls.type_tag:
             raise EncodingError("not an aggregated batch response")
-        return cls(decode_aggregated_batch(payload[1:], config))
+        return cls(decode_aggregated_batch(payload[1:], config, memo=memo))
 
 
 class ErrorResponse:

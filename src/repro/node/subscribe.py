@@ -871,6 +871,8 @@ class SubscriptionSession:
                 config.header_bloom_bytes,
             )
             reader.finish()
+            # Decoded without the memo: the height is new, so no
+            # resolution at it can have been accepted yet.
             batch = BatchQueryResult.deserialize(update.batch_bytes, config)
         except EncodingError as error:
             self.stats.updates_rejected += 1

@@ -25,31 +25,32 @@ variable-length ones), ``k >= 1`` means "table entry ``k-1``".  Only
 blobs that occur at least twice enter the table, so a batch with nothing
 shared costs one extra byte total.
 
-Verification is unchanged by construction: :func:`decode_aggregated_batch`
-rebuilds a :class:`BatchQueryResult` whose plain serialization is
-byte-for-byte identical to the original's, and the verifier only ever
-sees that object.  The plain path is retained as the equivalence oracle
-(``tests/query/test_aggregate.py``), exactly as PR 1 kept the naive
-prover.
+Decoding is one pass over the frame, :func:`expand_aggregated_batch`,
+that writes the plain image back: each ``k = 0`` marker is dropped,
+each reference is replaced by its table blob, and every other byte is
+copied as it came.  That image then goes through the one plain decoder,
+:meth:`BatchQueryResult.deserialize`, with the light node's memo, so
+"the verifier sees exactly the plain batch" holds by construction, and
+a resolution the memo already accepted is neither decoded nor verified
+again however it was framed.  There is no second, object-building
+decoder to keep in step.  The plain encoding stays the equivalence
+oracle (``tests/query/test_aggregate.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.bloom.filter import BloomFilter
-from repro.chain.transaction import Transaction
-from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
+from repro.crypto.encoding import read_varint, write_var_bytes, write_varint
 from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError, ProofError
 from repro.merkle.bmt import (
-    _MAX_NESTING,
     _TAG_BYTES,
     _TAG_HASHES,
     _TAG_INTERNAL,
     BmtMultiProof,
 )
-from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof, SmtLeaf
+from repro.merkle.sorted_tree import SmtBranch
 from repro.merkle.tree import MerkleBranch
 from repro.query.batch import BatchQueryResult
 from repro.query.config import SystemConfig
@@ -62,9 +63,11 @@ from repro.query.fragments import (
     FpmResolution,
     IntegralBlockResolution,
     SegmentProof,
-    TxWithBranch,
 )
 from repro.query.result import QueryResult
+
+if TYPE_CHECKING:
+    from repro.query.memo import VerifierMemo
 
 #: Blobs shorter than this never enter the table — a back-reference plus
 #: the table entry's length prefix would cost as much as shipping them.
@@ -74,7 +77,7 @@ _MAX_TABLE = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# encoder sink / decoder source
+# encoder
 
 
 #: Token kinds of one walk: bytes written as they are, and the two blob
@@ -103,52 +106,6 @@ class _Tokens:
 
     def var_blob(self, data: bytes) -> None:
         self.items.append((_VAR, data))
-
-
-class _Source:
-    """Decoder cursor resolving back-references against the blob table."""
-
-    __slots__ = ("_reader", "_table")
-
-    def __init__(self, reader: ByteReader, table: List[bytes]) -> None:
-        self._reader = reader
-        self._table = table
-
-    def raw(self, length: int) -> bytes:
-        return self._reader.bytes(length)
-
-    def varint(self) -> int:
-        return self._reader.varint()
-
-    def fixed_blob(self, length: int) -> bytes:
-        k = self._reader.varint()
-        if k == 0:
-            return self._reader.bytes(length)
-        data = self._lookup(k)
-        if len(data) != length:
-            raise EncodingError(
-                f"blob reference {k} carries {len(data)} bytes where "
-                f"{length} are required"
-            )
-        return data
-
-    def var_blob(self) -> bytes:
-        k = self._reader.varint()
-        if k == 0:
-            return self._reader.var_bytes()
-        return self._lookup(k)
-
-    def _lookup(self, k: int) -> bytes:
-        if k > len(self._table):
-            raise EncodingError(
-                f"dangling blob reference {k} (table has "
-                f"{len(self._table)} entries)"
-            )
-        return self._table[k - 1]
-
-
-# ---------------------------------------------------------------------------
-# structure walkers (encoder side)
 
 
 def _walk_smt_branch(branch: SmtBranch, sink) -> None:
@@ -242,176 +199,6 @@ def _walk_batch(batch: BatchQueryResult, config: SystemConfig, sink) -> None:
                 _walk_resolution(resolution, sink)
 
 
-# ---------------------------------------------------------------------------
-# structure readers (decoder side)
-
-
-def _utf8(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"not UTF-8: {exc}") from exc
-
-
-def _read_smt_branch(src: _Source) -> SmtBranch:
-    address = _utf8(src.var_blob())
-    count = src.varint()
-    # Mirror SmtLeaf.deserialize: bypass the constructor's sentinel-space
-    # check so honest sentinel leaves (and the oracle) round-trip exactly.
-    leaf = SmtLeaf.__new__(SmtLeaf)
-    leaf.address = address
-    leaf.count = count
-    leaf_index = src.varint()
-    depth = src.varint()
-    if depth > 64:
-        raise EncodingError(f"implausible SMT branch depth {depth}")
-    siblings = [src.fixed_blob(HASH_SIZE) for _ in range(depth)]
-    return SmtBranch(leaf, leaf_index, siblings)
-
-
-def _read_merkle_branch(src: _Source) -> MerkleBranch:
-    leaf_hash = src.fixed_blob(HASH_SIZE)
-    leaf_index = src.varint()
-    depth = src.varint()
-    if depth > 64:
-        raise EncodingError(f"implausible branch depth {depth}")
-    siblings = [src.fixed_blob(HASH_SIZE) for _ in range(depth)]
-    return MerkleBranch(leaf_hash, leaf_index, siblings)
-
-
-def _read_resolution_body(tag: int, src: _Source):
-    if tag == _RES_EXISTENCE:
-        has_smt = src.raw(1)[0]
-        if has_smt not in (0, 1):
-            raise EncodingError(f"bad SMT flag {has_smt}")
-        smt_branch = _read_smt_branch(src) if has_smt else None
-        count = src.varint()
-        if count == 0 or count > 1_000_000:
-            raise EncodingError(f"implausible entry count {count}")
-        entries = []
-        for _ in range(count):
-            transaction = Transaction.from_bytes(src.var_blob())
-            entries.append(TxWithBranch(transaction, _read_merkle_branch(src)))
-        return ExistenceResolution(smt_branch, entries)
-    if tag == _RES_FPM:
-        flags = src.raw(1)[0]
-        if flags not in (1, 2, 3):
-            raise EncodingError(f"bad SMT inexistence flags {flags}")
-        predecessor = _read_smt_branch(src) if flags & 1 else None
-        successor = _read_smt_branch(src) if flags & 2 else None
-        return FpmResolution(SmtInexistenceProof(predecessor, successor))
-    if tag == _RES_INTEGRAL:
-        return IntegralBlockResolution(src.var_blob())
-    raise EncodingError(f"unknown resolution tag {tag}")
-
-
-def _read_multiproof(src: _Source, bf_bytes: int) -> BmtMultiProof:
-    """Gather one multiproof's nodes, back-references resolved, into
-    its plain wire image (PROTOCOL.md §4.2)."""
-    parts: List[bytes] = []
-    pending = [0]  # nesting depth of each subtree still to read
-    while pending:
-        depth = pending.pop()
-        if depth > _MAX_NESTING:
-            raise EncodingError("BMT multiproof nests implausibly deep")
-        tag_byte = src.raw(1)
-        parts.append(tag_byte)
-        tag = tag_byte[0]
-        if tag == _TAG_INTERNAL:
-            pending.extend((depth + 1, depth + 1))
-            continue
-        hashes = _TAG_HASHES.get(tag)
-        if hashes is None:
-            raise EncodingError(f"unknown BMT multiproof tag {tag}")
-        for _ in range(hashes):
-            parts.append(src.fixed_blob(HASH_SIZE))
-        parts.append(src.fixed_blob(bf_bytes))
-    return BmtMultiProof(b"".join(parts), bf_bytes)
-
-
-def _read_segment(src: _Source, config: SystemConfig) -> SegmentProof:
-    anchor = src.varint()
-    start = src.varint()
-    end = src.varint()
-    multiproof = _read_multiproof(src, config.bf_bytes)
-    count = src.varint()
-    if count > end - start + 1:
-        raise EncodingError(
-            f"{count} resolutions for a {end - start + 1}-block segment"
-        )
-    resolutions: Dict[int, object] = {}
-    for _ in range(count):
-        height = src.varint()
-        if height in resolutions:
-            raise EncodingError(f"duplicate resolution height {height}")
-        tag = src.raw(1)[0]
-        resolutions[height] = _read_resolution_body(tag, src)
-    return SegmentProof(anchor, start, end, multiproof, resolutions)
-
-
-def _read_batch(src: _Source, config: SystemConfig) -> BatchQueryResult:
-    count = src.varint()
-    if count == 0 or count > 10_000:
-        raise EncodingError(f"implausible batch address count {count}")
-    addresses = [_utf8(src.var_blob()) for _ in range(count)]
-    tip_height = src.varint()
-    first_height = src.varint()
-    last_height = src.varint()
-    if not 1 <= first_height <= last_height <= tip_height:
-        raise EncodingError(f"bad batch range [{first_height},{last_height}]")
-    num_blocks = last_height - first_height + 1
-
-    if config.uses_bmt:
-        per_address_segments = []
-        for _ in range(count):
-            segment_count = src.varint()
-            if segment_count > num_blocks:
-                raise EncodingError("more segments than blocks")
-            per_address_segments.append(
-                [_read_segment(src, config) for _ in range(segment_count)]
-            )
-        return BatchQueryResult(
-            config.kind,
-            addresses,
-            tip_height,
-            first_height,
-            last_height,
-            per_address_segments=per_address_segments,
-        )
-
-    shared_filters = None
-    if config.ships_block_filters:
-        shared_filters = [
-            BloomFilter.from_bytes(
-                src.fixed_blob(config.bf_bytes), config.num_hashes
-            )
-            for _ in range(num_blocks)
-        ]
-    per_address_answers: List[List[object]] = []
-    for _ in range(count):
-        answers: List[object] = []
-        for _height in range(num_blocks):
-            tag = src.raw(1)[0]
-            if tag == _ANSWER_EMPTY:
-                answers.append(None)
-            else:
-                answers.append(_read_resolution_body(tag, src))
-        per_address_answers.append(answers)
-    return BatchQueryResult(
-        config.kind,
-        addresses,
-        tip_height,
-        first_height,
-        last_height,
-        shared_filters=shared_filters,
-        per_address_answers=per_address_answers,
-    )
-
-
-# ---------------------------------------------------------------------------
-# public API
-
-
 def encode_aggregated_batch(
     batch: BatchQueryResult, config: SystemConfig
 ) -> bytes:
@@ -451,31 +238,205 @@ def encode_aggregated_batch(
     return b"".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# decoder
+
+
+def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
+    """The plain :meth:`BatchQueryResult.serialize` image of an
+    aggregated batch: every slot's marker dropped or reference replaced
+    by its table blob, every other byte copied as it came.
+
+    The walk reads only what locates the slots — counts, tags, flags —
+    and leaves every other check to the plain decoder that reads the
+    image.  A dangling reference, a wrong-length blob, an unknown tag or
+    flag, truncation, trailing bytes, or an image larger than a plain
+    frame raises :class:`EncodingError` here.
+    """
+    from repro.node.transport import DEFAULT_MAX_FRAME_BYTES
+
+    data = payload
+    bf_bytes = config.bf_bytes
+    # Each table entry as a fixed slot's bytes and as a var slot's
+    # var_bytes image.
+    blobs: List[bytes] = []
+    framed: List[bytes] = []
+    table_len = 0
+    out: List[bytes] = []
+    pos = mark = 0  # ``mark``: first body byte not yet in ``out``
+
+    def varint() -> int:
+        nonlocal pos
+        first = data[pos]
+        if first < 0xFD:
+            pos += 1
+            return first
+        value, pos = read_varint(data, pos)
+        return value
+
+    def byte() -> int:
+        nonlocal pos
+        pos += 1
+        return data[pos - 1]
+
+    def slot(length: int) -> None:
+        """One blob slot: ``length`` bytes, or var_bytes when 0."""
+        nonlocal pos, mark
+        out.append(data[mark:pos])
+        k = data[pos]
+        if k == 0:
+            pos += 1
+            mark = pos
+            if not length:
+                length = varint()
+            pos += length
+            return
+        if k < 0xFD:
+            pos += 1
+        else:
+            k, pos = read_varint(data, pos)
+        mark = pos
+        if k > table_len:
+            raise EncodingError(
+                f"dangling blob reference {k} (table has {table_len} entries)"
+            )
+        if not length:
+            out.append(framed[k - 1])
+            return
+        blob = blobs[k - 1]
+        if len(blob) != length:
+            raise EncodingError(
+                f"blob reference {k} carries {len(blob)} bytes where "
+                f"{length} are required"
+            )
+        out.append(blob)
+
+    def hashes() -> None:
+        for _ in range(varint()):
+            slot(HASH_SIZE)
+
+    def smt_branch() -> None:
+        slot(0)  # leaf address
+        varint()  # leaf count
+        varint()  # leaf index
+        hashes()
+
+    def resolution(tag: int) -> None:
+        if tag == _RES_EXISTENCE:
+            has_smt = byte()
+            if has_smt == 1:
+                smt_branch()
+            elif has_smt:
+                raise EncodingError(f"bad SMT flag {has_smt}")
+            for _ in range(varint()):
+                slot(0)  # transaction
+                slot(HASH_SIZE)  # Merkle leaf hash
+                varint()  # leaf index
+                hashes()
+        elif tag == _RES_FPM:
+            flags = byte()
+            if flags not in (1, 2, 3):
+                raise EncodingError(f"bad SMT inexistence flags {flags}")
+            if flags & 1:
+                smt_branch()
+            if flags & 2:
+                smt_branch()
+        elif tag == _RES_INTEGRAL:
+            slot(0)
+        else:
+            raise EncodingError(f"unknown resolution tag {tag}")
+
+    def multiproof() -> None:
+        # Every node is at least its tag byte, so the walk ends within
+        # the frame; the plain decoder bounds the nesting.
+        nonlocal pos
+        subtrees = 1  # still to read
+        while subtrees:
+            tag = data[pos]
+            pos += 1
+            if tag == _TAG_INTERNAL:
+                subtrees += 1
+                continue
+            subtrees -= 1
+            node_hashes = _TAG_HASHES.get(tag)
+            if node_hashes is None:
+                raise EncodingError(f"unknown BMT multiproof tag {tag}")
+            if node_hashes:
+                slot(HASH_SIZE)
+                if node_hashes == 2:
+                    slot(HASH_SIZE)
+            slot(bf_bytes)
+
+    try:
+        table_len = varint()
+        if table_len > _MAX_TABLE:
+            raise EncodingError(f"implausible blob table length {table_len}")
+        for _ in range(table_len):
+            start = pos
+            size = varint()
+            end = pos + size
+            blobs.append(data[pos:end])
+            framed.append(data[start:end])
+            pos = end
+        mark = pos
+        addresses = varint()
+        for _ in range(addresses):
+            slot(0)
+        varint()  # tip height
+        first_height = varint()
+        last_height = varint()
+        if config.uses_bmt:
+            for _ in range(addresses):
+                for _ in range(varint()):  # segments
+                    varint()  # anchor
+                    varint()  # start
+                    varint()  # end
+                    multiproof()
+                    for _ in range(varint()):  # resolutions
+                        varint()  # height
+                        resolution(byte())
+        else:
+            num_blocks = last_height - first_height + 1
+            if config.ships_block_filters:
+                for _ in range(num_blocks):
+                    slot(bf_bytes)
+            for _ in range(addresses * num_blocks):
+                tag = byte()
+                if tag != _ANSWER_EMPTY:
+                    resolution(tag)
+    except IndexError:  # read past the end: table indexes are checked
+        pos = len(data) + 1
+    if pos > len(data):
+        raise EncodingError("aggregated batch is truncated")
+    if pos < len(data):
+        raise EncodingError(f"{len(data) - pos} trailing bytes after decode")
+    out.append(data[mark:])
+    if sum(map(len, out)) > DEFAULT_MAX_FRAME_BYTES:
+        raise EncodingError(
+            f"aggregated batch expands past the {DEFAULT_MAX_FRAME_BYTES}"
+            "-byte frame limit"
+        )
+    return b"".join(out)
+
+
 def decode_aggregated_batch(
-    payload: bytes, config: SystemConfig
+    payload: bytes,
+    config: SystemConfig,
+    memo: "Optional[VerifierMemo]" = None,
 ) -> BatchQueryResult:
-    """Inverse of :func:`encode_aggregated_batch`.
+    """Inverse of :func:`encode_aggregated_batch`: the plain decoder
+    (with ``memo``) on the expanded image, so the verifier sees exactly
+    the batch a plain frame of those bytes carries.
 
     Malformed input — dangling back-references, wrong-length blobs,
     truncation, trailing bytes, any structural violation — raises
     :class:`EncodingError`; the verifier then never sees the batch.
     """
-    reader = ByteReader(payload)
-    count = reader.varint()
-    if count > _MAX_TABLE:
-        raise EncodingError(f"implausible blob table length {count}")
-    table = [reader.var_bytes() for _ in range(count)]
-    src = _Source(reader, table)
+    plain = expand_aggregated_batch(payload, config)
     try:
-        batch = _read_batch(src, config)
+        return BatchQueryResult.deserialize(plain, config, memo=memo)
     except ProofError as exc:
         raise EncodingError(str(exc)) from exc
-    reader.finish()
-    return batch
-
-
-def aggregated_size_bytes(batch: BatchQueryResult, config: SystemConfig) -> int:
-    return len(encode_aggregated_batch(batch, config))
 
 
 def batch_of_result(result: QueryResult) -> BatchQueryResult:

@@ -30,7 +30,12 @@ from repro.errors import (
 )
 from repro.query.builder import BuiltSystem
 from repro.query.config import SystemConfig, bf_commitment
-from repro.query.fragments import SegmentProof, _serialize_resolution
+from repro.query.fragments import (
+    _ANSWER_EMPTY,
+    SegmentProof,
+    _resolution_after_tag,
+    _serialize_resolution,
+)
 from repro.query.memo import VerifierMemo
 from repro.query.prover import _resolve_block, answer_query
 from repro.query.result import QueryResult
@@ -39,8 +44,6 @@ from repro.query.verifier import (
     _verify_resolution,
     verify_result,
 )
-
-_ANSWER_EMPTY = 0xFF
 
 
 class BatchQueryResult:
@@ -129,8 +132,15 @@ class BatchQueryResult:
 
     @classmethod
     def deserialize(
-        cls, payload: bytes, config: SystemConfig
+        cls,
+        payload: bytes,
+        config: SystemConfig,
+        memo: Optional[VerifierMemo] = None,
     ) -> "BatchQueryResult":
+        """Decode a batch; ``memo`` is handed to every segment proof
+        with the address its list answers
+        (:meth:`SegmentProof.deserialize`) and unused on per-block
+        systems."""
         reader = ByteReader(payload)
         count = reader.varint()
         if count == 0 or count > 10_000:
@@ -152,13 +162,13 @@ class BatchQueryResult:
 
         if config.uses_bmt:
             per_address_segments = []
-            for _ in range(count):
+            for address in addresses:
                 segment_count = reader.varint()
                 if segment_count > num_blocks:
                     raise EncodingError("more segments than blocks")
                 per_address_segments.append(
                     [
-                        SegmentProof.deserialize(reader, config)
+                        SegmentProof.deserialize(reader, config, memo, address)
                         for _ in range(segment_count)
                     ]
                 )
@@ -188,8 +198,7 @@ class BatchQueryResult:
                 if tag == _ANSWER_EMPTY:
                     answers.append(None)
                 else:
-                    # Re-wind one byte by dispatching on the tag directly.
-                    answers.append(_deserialize_resolution_from_tag(tag, reader))
+                    answers.append(_resolution_after_tag(tag, reader))
             per_address_answers.append(answers)
         reader.finish()
         return cls(
@@ -204,15 +213,6 @@ class BatchQueryResult:
 
     def size_bytes(self, config: SystemConfig) -> int:
         return len(self.serialize(config))
-
-
-def _deserialize_resolution_from_tag(tag: int, reader: ByteReader):
-    from repro.query.fragments import _RESOLUTION_BY_TAG
-
-    cls = _RESOLUTION_BY_TAG.get(tag)
-    if cls is None:
-        raise EncodingError(f"unknown batch resolution tag {tag}")
-    return cls.deserialize(reader)
 
 
 # ---------------------------------------------------------------------------

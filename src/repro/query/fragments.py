@@ -197,12 +197,16 @@ def _serialize_resolution(resolution) -> bytes:
     return bytes([resolution.tag]) + resolution.serialize()
 
 
-def _deserialize_resolution(reader: ByteReader):
-    tag = reader.bytes(1)[0]
+def _resolution_after_tag(tag: int, reader: ByteReader):
+    """The resolution whose tag byte ``tag`` was just read."""
     cls = _RESOLUTION_BY_TAG.get(tag)
     if cls is None:
         raise EncodingError(f"unknown resolution tag {tag}")
     return cls.deserialize(reader)
+
+
+def _deserialize_resolution(reader: ByteReader):
+    return _resolution_after_tag(reader.bytes(1)[0], reader)
 
 
 class WireResolution:
@@ -296,10 +300,7 @@ class PerBlockAnswer:
         tag = reader.bytes(1)[0]
         if tag == _ANSWER_EMPTY:
             return cls(bf, None)
-        resolution_cls = _RESOLUTION_BY_TAG.get(tag)
-        if resolution_cls is None:
-            raise EncodingError(f"unknown answer tag {tag}")
-        return cls(bf, resolution_cls.deserialize(reader))
+        return cls(bf, _resolution_after_tag(tag, reader))
 
 
 class SegmentProof:

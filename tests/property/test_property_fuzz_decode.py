@@ -7,9 +7,12 @@ subclass — never an uncontrolled ``IndexError``/``struct.error``/
 message classes, ``decompress_frame``, the proof structures, and a
 ``QueryResponse`` decoded through a light node's warm memo.  Two
 generators: pure random bytes, and random
-mutations of valid payloads (which reach much deeper into the parsers).
-A mutated payload that decodes must then either be rejected by the
-verifier or verify to exactly the honest history.
+mutations of valid payloads (which reach much deeper into the parsers):
+bit flips, and for plain batch responses and push updates also
+truncation, splices and inflated varints.  A mutated payload that
+decodes must then either be rejected by the verifier or verify to
+exactly the honest history; where a light node's memo is in play, the
+warm outcome must equal the cold one.
 """
 
 import functools
@@ -48,7 +51,11 @@ from repro.node.messages import (
     UnsubscribeRequest,
 )
 from repro.node.transport import FRAME_ZLIB, decompress_frame
-from repro.query.batch import answer_batch_query, verify_batch_result
+from repro.query.batch import (
+    BatchQueryResult,
+    answer_batch_query,
+    verify_batch_result,
+)
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
@@ -189,8 +196,6 @@ def _batch_request(raw):
 
 
 def _batch_result(raw):
-    from repro.query.batch import BatchQueryResult
-
     return BatchQueryResult.deserialize(raw, CONFIG)
 
 
@@ -255,28 +260,155 @@ def test_mutated_result_payload_fails_cleanly(
     assert history(verified) == expected
 
 
+BATCH_SPAN = (10, 40)
+
+
+def batch_outcome(response_cls, system, frame, addresses, span, memo=None):
+    """Decode a batch response frame and verify it with ``memo``
+    (``None``: the cold path); the histories, or the exception."""
+    config = system.config
+    try:
+        batch = response_cls.deserialize(frame, config, memo=memo).batch
+        verified = verify_batch_result(
+            batch, system.headers(), config, addresses, span, memo=memo
+        )
+    except ReproError as error:
+        return type(error), str(error)
+    return {address: history(histories) for address, histories in verified.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def warm_batch(response_cls, system, addresses):
+    """The honest frame, its histories, and a light node's memo that
+    accepted it."""
+    honest = answer_batch_query(system, list(addresses), *BATCH_SPAN)
+    frame = response_cls(honest).serialize(system.config)
+    light = LightNode(system.headers(), system.config)
+    expected = batch_outcome(
+        response_cls, system, frame, list(addresses), BATCH_SPAN, light.memo
+    )
+    assert isinstance(expected, dict)
+    return frame, expected, light.memo
+
+
+def check_batch_mutation(response_cls, system, probe_addresses, change):
+    """``change`` the honest frame of ``response_cls`` for three probe
+    addresses: rejected or the honest histories, warm as cold."""
+    addresses = [probe_addresses[name] for name in ("Addr3", "Addr4", "Addr5")]
+    frame, expected, memo = warm_batch(response_cls, system, tuple(addresses))
+    mutated = change(frame)
+    cold = batch_outcome(response_cls, system, mutated, addresses, BATCH_SPAN)
+    assert cold == expected or isinstance(cold, tuple)
+    warm = batch_outcome(response_cls, system, mutated, addresses, BATCH_SPAN, memo)
+    assert warm == cold
+
+
 @given(flips=FLIPS)
 @MUTATION_SETTINGS
 def test_mutated_aggregated_batch_fails_cleanly(
     lvq_system, probe_addresses, flips
 ):
-    config = lvq_system.config
-    addresses = [probe_addresses[name] for name in ("Addr3", "Addr4", "Addr5")]
-    span = (10, 40)
-    honest = answer_batch_query(lvq_system, addresses, *span)
-    headers = lvq_system.headers()
-    expected = {
-        address: history(verified)
-        for address, verified in verify_batch_result(
-            honest, headers, config, addresses, span
-        ).items()
-    }
-    frame = mutate(AggregatedBatchResponse(honest).serialize(config), flips)
+    check_batch_mutation(
+        AggregatedBatchResponse,
+        lvq_system,
+        probe_addresses,
+        lambda frame: mutate(frame, flips),
+    )
+
+
+#: Edits of a valid frame: flip a bit, cut the frame short, insert a copy
+#: of another run of its bytes, or rewrite a byte below 0xFD as the
+#: three-byte (non-canonical) varint of the same value.
+EDITS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("flip"),
+            st.integers(min_value=0, max_value=10_000_000),
+            st.integers(min_value=0, max_value=7),
+        ),
+        st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=10_000_000)),
+        st.tuples(
+            st.just("splice"),
+            st.integers(min_value=0, max_value=10_000_000),
+            st.integers(min_value=0, max_value=10_000_000),
+            st.integers(min_value=1, max_value=48),
+        ),
+        st.tuples(st.just("inflate"), st.integers(min_value=0, max_value=10_000_000)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def edit(frame, edits):
+    data = bytearray(frame)
+    for kind, position, *args in edits:
+        if not data:
+            break
+        at = position % len(data)
+        if kind == "flip":
+            data[at] ^= 1 << args[0]
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "splice":
+            source = args[0] % len(data)
+            data[at:at] = data[source : source + args[1]]
+        elif data[at] < 0xFD:
+            data[at : at + 1] = bytes([0xFD, data[at], 0])
+    return bytes(data)
+
+
+@given(edits=EDITS)
+@MUTATION_SETTINGS
+def test_edited_plain_batch_response_fails_cleanly(
+    lvq_system, probe_addresses, edits
+):
+    check_batch_mutation(
+        BatchQueryResponse,
+        lvq_system,
+        probe_addresses,
+        lambda frame: edit(frame, edits),
+    )
+
+
+def push_outcome(system, frame, watched):
+    """What a watcher does with a push frame for the last block
+    (``SubscriptionSession``): decode header and batch, link the header
+    onto the headers below it, verify; the histories, or the refusal."""
+    config = system.config
+    below = system.headers()[:-1]
     try:
-        batch = AggregatedBatchResponse.deserialize(frame, config).batch
-        verified = verify_batch_result(batch, headers, config, addresses, span)
-    except ReproError:
-        return
-    assert {
-        address: history(histories) for address, histories in verified.items()
-    } == expected
+        update = PushUpdate.deserialize(frame)
+        if update.height != len(below):
+            return "not the next height"
+        reader = ByteReader(update.header_bytes)
+        header = BlockHeader.deserialize(
+            reader, config.header_extension_kind, config.header_bloom_bytes
+        )
+        reader.finish()
+        batch = BatchQueryResult.deserialize(update.batch_bytes, config)
+        if header.prev_hash != below[-1].block_id():
+            return "does not link"
+        verified = verify_batch_result(
+            batch, below + [header], config, watched, (update.height,) * 2
+        )
+    except ReproError as error:
+        return type(error), str(error)
+    return {address: history(histories) for address, histories in verified.items()}
+
+
+@given(edits=EDITS)
+@MUTATION_SETTINGS
+def test_edited_push_update_fails_cleanly(lvq_system, probe_addresses, edits):
+    config = lvq_system.config
+    watched = [probe_addresses[name] for name in ("Addr4", "Addr5", "Addr6")]
+    height = lvq_system.tip_height
+    honest = PushUpdate(
+        height,
+        lvq_system.chain.header_at(height).serialize(),
+        answer_batch_query(lvq_system, watched, height, height).serialize(config),
+    ).serialize()
+    expected = push_outcome(lvq_system, honest, watched)
+    assert isinstance(expected, dict)
+    verdict = push_outcome(lvq_system, edit(honest, edits), watched)
+    assert verdict == expected or not isinstance(verdict, dict)

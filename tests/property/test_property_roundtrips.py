@@ -1,9 +1,10 @@
-"""Property-based round-trip tests for the remaining wire formats."""
+"""Property-based round-trip tests for the remaining wire formats, and
+the aggregated batch's expansion back to its plain image."""
 
 import string
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.transaction import Transaction, TxInput, TxOutput
@@ -17,6 +18,8 @@ from repro.crypto.encoding import (
 )
 from repro.crypto.hashing import sha256d
 from repro.errors import EncodingError
+from repro.query.aggregate import encode_aggregated_batch, expand_aggregated_batch
+from repro.query.batch import answer_batch_query
 
 addr_text = st.text(
     alphabet=string.digits + string.ascii_letters, min_size=1, max_size=34
@@ -239,3 +242,35 @@ class TestCanonicalTransactionDecode:
                     bytes([len(marker)]) + marker, bytes([len(bad)]) + bad, 1
                 )
             )
+
+
+class TestAggregatedBatchExpansion:
+    """The aggregated decoder's one job: give back the plain image."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_expansion_is_the_plain_image(self, any_system, workload, data):
+        """On every system kind, expanding ``encode_aggregated_batch(b)``
+        gives exactly ``b.serialize()``, for any addresses (unknown ones
+        too) and any range."""
+        pool = sorted(
+            {address for tx in workload.bodies[-1] for address in tx.addresses()}
+            | set(workload.probe_addresses.values())
+            | {"1UnknownAddressForTheExpansionTest"}
+        )
+        addresses = data.draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+        )
+        tip = any_system.tip_height
+        first = data.draw(st.integers(min_value=1, max_value=tip))
+        last = data.draw(st.integers(min_value=first, max_value=tip))
+        config = any_system.config
+        batch = answer_batch_query(any_system, addresses, first, last)
+        aggregated = encode_aggregated_batch(batch, config)
+        assert expand_aggregated_batch(aggregated, config) == batch.serialize(
+            config
+        )

@@ -11,7 +11,8 @@ that brings it back fails here, with no harness to run.
 Across proofs, a light node's memo makes a second verification of the
 same answer hash no BMT node at all, and — when the answer was decoded
 through the memo too — decode no transaction and fold no Merkle or SMT
-branch; the last two tests pin that.
+branch, for a single query and for an aggregated batch alike; the last
+three tests pin that.
 """
 
 import json
@@ -116,17 +117,11 @@ def test_second_verification_on_one_light_node_hashes_no_bmt_node(
     assert warm["smt"] == cold["smt"] > 0
 
 
-def test_second_verification_decodes_no_transaction_and_folds_no_branch(
-    lvq_system, monkeypatch
-):
-    """Decoded and verified through one light node's memo, the golden
-    vector's resolutions come back from the memo the second time: no
-    ``Transaction.from_bytes``, no Merkle ``sha256d`` fold, no SMT
-    ``tagged_hash`` fold."""
-    vector, frame, span = _load("bmt_query_response")
-    address = vector["request"]["address"]
-    config = lvq_system.config
-    light = LightNode(lvq_system.headers(), config)
+@pytest.fixture()
+def resolution_work(monkeypatch):
+    """Calls of ``Transaction.from_bytes``, the Merkle fold's ``sha256d``
+    and the SMT fold's ``tagged_hash``; ``take()`` returns the counts so
+    far and starts them again."""
     calls = {"from_bytes": 0, "merkle": 0, "smt": 0}
     from_bytes = Transaction.from_bytes.__func__
 
@@ -148,15 +143,74 @@ def test_second_verification_decodes_no_transaction_and_folds_no_branch(
 
         monkeypatch.setattr(module, name, counting)
 
+    def take():
+        counts = dict(calls)
+        calls.update(from_bytes=0, merkle=0, smt=0)
+        return counts
+
+    return take
+
+
+def test_second_verification_decodes_no_transaction_and_folds_no_branch(
+    lvq_system, resolution_work
+):
+    """Decoded and verified through one light node's memo, the golden
+    vector's resolutions come back from the memo the second time: no
+    ``Transaction.from_bytes``, no Merkle ``sha256d`` fold, no SMT
+    ``tagged_hash`` fold."""
+    vector, frame, span = _load("bmt_query_response")
+    address = vector["request"]["address"]
+    config = lvq_system.config
+    light = LightNode(lvq_system.headers(), config)
+
     def verify_and_count():
         result = QueryResponse.deserialize(frame, config, memo=light.memo).result
         verified = light.verify(result, address, span)
-        counts = dict(calls)
-        calls.update(from_bytes=0, merkle=0, smt=0)
-        return [tx.txid() for _height, tx in verified.transactions], counts
+        return [tx.txid() for _height, tx in verified.transactions], (
+            resolution_work()
+        )
 
     first, cold = verify_and_count()
     second, warm = verify_and_count()
     assert second == first and first
+    assert min(cold.values()) > 0
+    assert warm == {"from_bytes": 0, "merkle": 0, "smt": 0}
+
+
+class _FrameServer:
+    """A full node that answers every batch request with one frame."""
+
+    def __init__(self, frame):
+        self.frame = frame
+
+    def handle_batch_query(self, _request):
+        return self.frame
+
+
+def test_second_aggregated_batch_decodes_no_transaction_and_folds_no_branch(
+    lvq_system, resolution_work
+):
+    """The same gate for an aggregated batch received by
+    ``LightNode.query_batch``: expanded to its plain image, it is decoded
+    through the node's memo, so the second time the golden vector's
+    resolutions are neither decoded nor folded."""
+    vector, frame, span = _load("aggregated_batch_response")
+    addresses = vector["request"]["addresses"]
+    light = LightNode(lvq_system.headers(), lvq_system.config)
+    server = _FrameServer(frame)
+
+    def query_and_count():
+        histories = light.query_batch(
+            server, addresses, first_height=span[0], last_height=span[1],
+            aggregated=True,
+        )
+        return {
+            address: [tx.txid() for _height, tx in histories[address].transactions]
+            for address in addresses
+        }, resolution_work()
+
+    first, cold = query_and_count()
+    second, warm = query_and_count()
+    assert second == first and any(first.values())
     assert min(cold.values()) > 0
     assert warm == {"from_bytes": 0, "merkle": 0, "smt": 0}
