@@ -53,17 +53,9 @@ class BitArray:
         self._check_index(index)
         return bool((self._value >> index) & 1)
 
-    if hasattr(int, "bit_count"):  # Python >= 3.10
-
-        def popcount(self) -> int:
-            """Number of set bits."""
-            return self._value.bit_count()
-
-    else:  # pragma: no cover - exercised only on Python < 3.10
-
-        def popcount(self) -> int:
-            """Number of set bits (pre-3.10 fallback)."""
-            return bin(self._value).count("1")
+    def popcount(self) -> int:
+        """Number of set bits."""
+        return self._value.bit_count()
 
     def fill_ratio(self) -> float:
         """Fraction of bits set — drives the BMT endpoint distribution."""

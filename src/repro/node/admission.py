@@ -487,6 +487,14 @@ class AdmissionController:
             self._ready.notify()
         return depth
 
+    def served_inline(self, priority: int) -> None:
+        """Count an admitted request answered without queueing (a
+        response-cache hit): admitted and completed in its class."""
+        with self._lock:
+            self.stats.admitted += 1
+            self.stats.admitted_by_class[priority] += 1
+            self.stats.completed_by_class[priority] += 1
+
     # -- worker side -------------------------------------------------------
 
     def next_request(self) -> Optional[Tuple[int, object]]:

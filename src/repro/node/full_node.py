@@ -17,13 +17,18 @@ adversarial test doubles tamper in ``answer``); it registers an append
 listener on the system so every new block drops the now-stale tip-keyed
 bytes.  For a pooled multi-worker front end, wrap the node in
 :class:`repro.node.server.QueryServer`.
+
+:meth:`FullNode.cached_response` is the pool's shortcut: the bytes
+``handle_query`` would return for a frame, if they are cached right now,
+found without blocking and without building.  The server calls it on the
+submitting thread after admission, so a hit never waits for a worker.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from repro.errors import QueryError
+from repro.errors import EncodingError, QueryError
 from repro.node.messages import (
     HeadersRequest,
     HeadersResponse,
@@ -53,6 +58,12 @@ class FullNode:
         #: re-invoked on every request so their per-call behaviour —
         #: intermittent attacks, RNG-sequenced tampering — is preserved.
         self._cache_responses = type(self).answer is FullNode.answer
+        #: A subclass that overrides ``handle_query`` answers in its own
+        #: way, so cached bytes need not be what it would send.
+        self._inline_safe = (
+            self._cache_responses
+            and type(self).handle_query is FullNode.handle_query
+        )
         # Register via weakref so short-lived nodes (tests build many
         # per shared system) don't pin their caches in the listener list.
         cache_ref = weakref.ref(self.response_cache)
@@ -118,13 +129,43 @@ class FullNode:
 
             if not self._cache_responses:
                 return build()
-            key = (
-                request.address,
-                request.first_height,
-                request.last_height,
-                self.system.tip_height,
+            return self.response_cache.get_or_build(
+                self._response_key(request), build
             )
-            return self.response_cache.get_or_build(key, build)
+
+    def cached_response(self, payload: bytes) -> "bytes | None":
+        """What :meth:`handle_query` would return for ``payload``, if it
+        is cached now; ``None`` sends the caller down the full path.
+
+        Never blocks: the read lock is only tried, so a writer holding or
+        waiting for it (an append, a reorg) makes this a miss rather than
+        a wait, and the tip in the key is never one a writer is
+        switching.  A malformed frame is a miss too; ``handle_query``
+        raises its typed error.  A hit is counted by the cache, a miss
+        is left for ``handle_query`` to count.
+        """
+        if not self._inline_safe:
+            return None
+        try:
+            request = QueryRequest.deserialize(payload)
+        except EncodingError:
+            return None
+        lock = self.system.lock
+        if not lock.try_acquire_read():
+            return None
+        try:
+            return self.response_cache.lookup(self._response_key(request))
+        finally:
+            lock.release_read()
+
+    def _response_key(self, request: QueryRequest) -> tuple:
+        # Call under the read lock: the tip is part of the key.
+        return (
+            request.address,
+            request.first_height,
+            request.last_height,
+            self.system.tip_height,
+        )
 
     def handle_batch_query(self, payload: bytes) -> bytes:
         from repro.node.messages import (

@@ -119,6 +119,10 @@ def render_metrics(
             lines.add(f"requests_{counter}_total", stats[counter],
                       kind="counter",
                       help_text=f"Requests {counter} since start.")
+        lines.add("requests_inline_hits_total", stats["inline_hits"],
+                  kind="counter",
+                  help_text="Completed requests answered from the response "
+                            "cache without queueing.")
         for stage, key in (("total", "latency"), ("wait", "queue_wait"),
                            ("service", "service")):
             _render_latency(lines, stage, stats[key])

@@ -407,7 +407,7 @@ class NetServer:
                 await self._write_frame(
                     writer, _messages.ErrorResponse.from_exception(error).serialize()
                 )
-            except (ConnectionError, asyncio.TimeoutError, OSError):
+            except (ConnectionError, TimeoutError, OSError):
                 pass
             writer.close()
             return
@@ -457,11 +457,13 @@ class NetServer:
             # subscriber's keepalive pings are frames like any other, so
             # a healthy watch connection refreshes the deadline each
             # ping; only a genuinely silent one is reaped.
+            #
+            # Every deadline is an ``asyncio.timeout`` scope: one timer
+            # on this task, no Task spawned per read or drain.
             try:
-                first = await asyncio.wait_for(
-                    reader.readexactly(1), self.idle_timeout
-                )
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.idle_timeout):
+                    first = await reader.readexactly(1)
+            except TimeoutError:
                 self.stats.connections_reaped += 1
                 if (
                     state.channel is not None
@@ -472,33 +474,41 @@ class NetServer:
                 return
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return  # clean EOF or client went away between frames
+            # Read deadline: one scope over the rest of the header and
+            # the body.
+            frame = None
             try:
-                rest = await asyncio.wait_for(
-                    reader.readexactly(FRAME_HEADER.size - 1),
-                    self.read_timeout,
-                )
-                (length,) = FRAME_HEADER.unpack(first + rest)
-                if length == 0 or length > self.max_frame_bytes:
-                    self.stats.errors_sent += 1
-                    async with state.write_lock:
-                        await self._write_frame(
-                            writer,
-                            _messages.ErrorResponse.from_exception(
-                                EncodingError(
-                                    f"frame of {length} bytes outside "
-                                    f"[1, {self.max_frame_bytes}]"
-                                )
-                            ).serialize(),
-                        )
-                    return  # framing can't be trusted past this point
-                frame = await asyncio.wait_for(
-                    reader.readexactly(length), self.read_timeout
-                )
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.read_timeout):
+                    (length,) = FRAME_HEADER.unpack(
+                        first
+                        + await reader.readexactly(FRAME_HEADER.size - 1)
+                    )
+                    if 0 < length <= self.max_frame_bytes:
+                        frame = await reader.readexactly(length)
+            except TimeoutError:
                 self.stats.deadline_closes += 1
                 return  # mid-frame stall: no way to resync, drop the link
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return
+            if frame is None:
+                self.stats.errors_sent += 1
+                error = EncodingError(
+                    f"frame of {length} bytes outside "
+                    f"[1, {self.max_frame_bytes}]"
+                )
+                try:
+                    async with state.write_lock:
+                        await self._write_frame(
+                            writer,
+                            _messages.ErrorResponse.from_exception(
+                                error
+                            ).serialize(),
+                        )
+                except TimeoutError:
+                    self.stats.deadline_closes += 1
+                except (ConnectionError, OSError):
+                    pass
+                return  # framing can't be trusted past this point
             self.stats.frames_in += 1
             self.stats.bytes_in += FRAME_HEADER.size + length
             self._busy += 1
@@ -509,7 +519,7 @@ class NetServer:
             try:
                 async with state.write_lock:
                     await self._write_frame(writer, response)
-            except asyncio.TimeoutError:
+            except TimeoutError:
                 self.stats.deadline_closes += 1
                 return
             except (ConnectionError, OSError):
@@ -593,7 +603,7 @@ class NetServer:
                     return
                 if not frames:
                     await channel.wait()
-        except asyncio.TimeoutError:
+        except TimeoutError:
             # Socket-level slow consumer: the write deadline fired with
             # the kernel buffer full.  Drop the link; the registry's
             # outbox bound does the accounting when it overflows.
@@ -636,9 +646,12 @@ class NetServer:
                 # submit() raises synchronously on admission refusal (rate
                 # limited / shed / queue full) or an unknown tag; the
                 # handlers below turn either into a typed error frame.
-                response = await asyncio.wrap_future(
-                    self._target.submit(payload, state.client)
-                )
+                # A cache hit comes back already resolved: no loop hop.
+                future = self._target.submit(payload, state.client)
+                if future.done():
+                    response = future.result()
+                else:
+                    response = await asyncio.wrap_future(future)
         except ReproError as error:
             self.stats.errors_sent += 1
             response = _messages.ErrorResponse.from_exception(error).serialize()
@@ -679,8 +692,9 @@ class NetServer:
     async def _write_frame(
         self, writer: asyncio.StreamWriter, frame: bytes
     ) -> None:
-        writer.write(FRAME_HEADER.pack(len(frame)) + frame)
-        await asyncio.wait_for(writer.drain(), self.write_timeout)
+        writer.writelines((FRAME_HEADER.pack(len(frame)), frame))
+        async with asyncio.timeout(self.write_timeout):
+            await writer.drain()
         self.stats.frames_out += 1
         self.stats.bytes_out += FRAME_HEADER.size + len(frame)
 

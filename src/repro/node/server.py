@@ -24,6 +24,12 @@ together as
 * **coalescing** — identical concurrent queries collapse into one proof
   generation inside the node's single-flight response cache, so a
   thundering herd on a hot address costs one computation;
+* **inline hits** — a single query that passed admission and whose
+  answer is already in the node's response cache
+  (:meth:`~repro.node.full_node.FullNode.cached_response`) is answered
+  on the submitting thread with an already-resolved Future: it is
+  admitted and completed in its class, but never queued and never
+  wakes a worker.  Batches and header requests always queue;
 * **observability** — per-request wait/service/total latency, queue
   depth, and every admission counter are recorded; :meth:`stats`
   reports counts, p50/p99, cache counters, and the admission state
@@ -119,6 +125,11 @@ class QueryServer:
         if num_workers < 1:
             raise ValueError(f"need at least one worker, got {num_workers}")
         self.node = node
+        # Only a FullNode has a response cache to probe; a stand-in that
+        # wraps one (to observe each handler call) sees every request.
+        self._probe = (
+            node.cached_response if isinstance(node, FullNode) else None
+        )
         self.num_workers = num_workers
         self.max_pending = max_pending
         self.admission = AdmissionController(
@@ -137,6 +148,7 @@ class QueryServer:
         self._completed = 0
         self._failed = 0
         self._reorgs = 0
+        self._inline_hits = 0
         self._in_flight = 0
         self._accepted = 0
         self._finished = 0
@@ -169,6 +181,10 @@ class QueryServer:
         :class:`~repro.errors.BackpressureError` subclass when admission
         refuses (rate limited / shed / queue full) and
         :class:`QueryError` once closed.
+
+        A single query whose answer is cached is answered here, after
+        all three admission checks: the returned Future is already
+        resolved and no worker runs.
         """
         if not payload:
             raise QueryError("empty request payload")
@@ -186,7 +202,6 @@ class QueryServer:
                     f"SubscriptionRegistry)"
                 )
             raise QueryError(f"unknown request tag {payload[0]}")
-        request = _PendingRequest(payload, Future())
         with self._submit_lock:
             if self._closed:
                 raise QueryError("query server is closed")
@@ -196,6 +211,14 @@ class QueryServer:
                 with self._stats_lock:
                     self._rejected += 1
                 raise
+            if (
+                self._probe is not None
+                and payload[0] == _messages._MSG_QUERY_REQUEST
+            ):
+                cached = self._probe(payload)
+                if cached is not None:
+                    return self._answered_inline(priority, cached)
+            request = _PendingRequest(payload, Future())
             depth = self.admission.enqueue(priority, request)
         with self._stats_lock:
             self._submitted += 1
@@ -203,6 +226,20 @@ class QueryServer:
             if depth > self._peak_queue_depth:
                 self._peak_queue_depth = depth
         return request.future
+
+    def _answered_inline(
+        self, priority: int, response: bytes
+    ) -> "Future[bytes]":
+        self.admission.served_inline(priority)
+        with self._stats_lock:
+            self._submitted += 1
+            self._accepted += 1
+            self._finished += 1
+            self._completed += 1
+            self._inline_hits += 1
+        future: "Future[bytes]" = Future()
+        future.set_result(response)
+        return future
 
     def submit_query(
         self,
@@ -338,7 +375,12 @@ class QueryServer:
     # -- observability -------------------------------------------------------
 
     def stats(self) -> "dict[str, object]":
-        """Snapshot of counters, latency percentiles and cache state."""
+        """Snapshot of counters, latency percentiles and cache state.
+
+        ``completed`` counts every answered request; ``inline_hits`` is
+        the part of it answered from the response cache at submit time.
+        The latency windows cover the requests a worker ran.
+        """
         admission = self.admission.stats_dict()
         with self._stats_lock:
             report = {
@@ -347,6 +389,7 @@ class QueryServer:
                 "submitted": self._submitted,
                 "rejected": self._rejected,
                 "completed": self._completed,
+                "inline_hits": self._inline_hits,
                 "failed": self._failed,
                 "reorgs": self._reorgs,
                 "in_flight": self._in_flight,

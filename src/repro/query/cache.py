@@ -146,6 +146,19 @@ class LRUCache:
             self._hits += 1
             return value
 
+    def lookup(self, key: Hashable) -> Any:
+        """``get`` that counts a hit but not a miss: ``None`` if absent.
+
+        For a probe whose miss falls through to a ``get`` that counts it,
+        so one request is never counted as two misses.
+        """
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            return value
+
     def __setitem__(self, key: Hashable, value: Any) -> None:
         if value is None:
             raise ValueError("LRUCache cannot store None (means 'absent')")
@@ -221,6 +234,8 @@ class RWLock:
       queries cannot starve ``append_block``.
     * Upgrading (write while holding read) is a programming error and
       raises ``RuntimeError`` instead of deadlocking.
+    * :meth:`try_acquire_read` never blocks: it refuses while a writer
+      holds or waits for the lock, for a thread that must not stall.
     """
 
     __slots__ = ("_cond", "_readers", "_writer", "_writer_depth",
@@ -237,20 +252,33 @@ class RWLock:
     # -- read side -----------------------------------------------------------
 
     def acquire_read(self) -> None:
-        me = threading.current_thread()
+        self._acquire_read(wait=True)
+
+    def try_acquire_read(self) -> bool:
+        """Take the read side if that needs no wait; ``False`` if not.
+
+        Reentrant like :meth:`acquire_read`; each ``True`` is balanced
+        by one :meth:`release_read`.
+        """
+        return self._acquire_read(wait=False)
+
+    def _acquire_read(self, wait: bool) -> bool:
         depth = getattr(self._local, "read_depth", 0)
         if depth == 0:
             with self._cond:
-                if self._writer is me:
+                if self._writer is threading.current_thread():
                     # The writer reading its own writes: don't count it as
                     # a reader or release_write would wait on ourselves.
                     self._local.counted = False
                 else:
                     while self._writer is not None or self._writers_waiting:
+                        if not wait:
+                            return False
                         self._cond.wait()
                     self._readers += 1
                     self._local.counted = True
         self._local.read_depth = depth + 1
+        return True
 
     def release_read(self) -> None:
         depth = getattr(self._local, "read_depth", 0)
@@ -405,6 +433,14 @@ class ResponseCache:
             return built
 
         return self._flight.do(key, miss)
+
+    def lookup(self, key: Hashable) -> "bytes | None":
+        """The cached bytes for ``key``, or ``None``; never builds.
+
+        A hit counts as one; a miss is left for the ``get_or_build``
+        the caller falls back to, so the hit rate keeps its meaning.
+        """
+        return self._lru.lookup(key)
 
     def invalidate_all(self) -> None:
         self._lru.clear()

@@ -427,6 +427,10 @@ class TestMetrics:
             server.query(address)
             parsed = parse_metrics(render_metrics(server=server))
         assert parsed['lvq_cache_hit_rate{cache="responses"}'] > 0.0
+        # The repeat was answered from the cache at submit: counted on
+        # its own, and still among the completed requests.
+        assert parsed["lvq_requests_inline_hits_total"] == 1.0
+        assert parsed["lvq_requests_completed_total"] == 2.0
 
     def test_http_endpoint_scrapes(self, system, workload):
         with QueryServer(FullNode(system), num_workers=2) as server:
@@ -440,6 +444,7 @@ class TestMetrics:
                     body = response.read().decode("utf-8")
         parsed = parse_metrics(body)
         assert "lvq_queue_depth" in parsed
+        assert parsed["lvq_requests_inline_hits_total"] == 0.0
         assert metrics.scrapes == 1
 
 

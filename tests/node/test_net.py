@@ -9,6 +9,7 @@ in-process path raises, and nothing a server says can ever manufacture a
 reserved for proofs failing *local* checks).
 """
 
+import asyncio
 import socket
 import threading
 import time
@@ -416,6 +417,118 @@ def test_mid_frame_stall_hits_read_deadline(lvq_system, loop_thread):
         while server.stats.deadline_closes == 0:
             assert time.monotonic() < deadline
             time.sleep(0.01)
+
+
+def test_one_prefix_byte_then_a_stall_hits_the_read_deadline(
+    lvq_system, loop_thread
+):
+    """The first byte of a length prefix starts the frame: from there the
+    read deadline applies, not the (much longer) idle one."""
+    server = NodeServer(
+        FullNode(lvq_system),
+        idle_timeout=30.0,
+        read_timeout=0.15,
+        loop_thread=loop_thread,
+    )
+    with server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(FRAME_HEADER.pack(100)[:1])
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b"", "a started frame must not idle"
+        deadline = time.monotonic() + 2.0
+        while server.stats.deadline_closes == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert server.stats.connections_reaped == 0
+
+
+def test_client_that_stops_reading_hits_the_write_deadline(
+    lvq_system, loop_thread, probe_addresses
+):
+    """Pipelined requests for large answers, none of them read: once the
+    socket buffers fill, the drain outlives the write deadline and the
+    server drops the slow consumer."""
+    server = NodeServer(
+        FullNode(lvq_system),
+        idle_timeout=30.0,
+        read_timeout=30.0,
+        write_timeout=0.2,
+        loop_thread=loop_thread,
+    )
+    request = QueryRequest(probe_addresses["Addr6"]).serialize()
+    with server:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(5.0)
+            sock.connect(server.address)
+            sock.sendall((FRAME_HEADER.pack(len(request)) + request) * 2000)
+            deadline = time.monotonic() + 5.0
+            while server.stats.deadline_closes == 0:
+                assert time.monotonic() < deadline, server.stats.as_dict()
+                time.sleep(0.01)
+        assert server.stats.connections_reaped == 0
+        assert server.stats.frames_out < 2000
+
+
+def test_cached_queries_spawn_no_task_and_reach_no_worker(
+    lvq_system, probe_addresses, monkeypatch
+):
+    """The per-message gate: on one connection, 200 queries answered
+    from the response cache create no asyncio Task (no deadline wraps a
+    read in one), take no thread-to-loop Future hop, and never run on a
+    worker."""
+    loop_thread = EventLoopThread("test-net-count-gate")
+    created = []
+    hops = []
+
+    def counting_factory(loop, coro, **kwargs):
+        created.append(getattr(coro, "__qualname__", repr(coro)))
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    wrap_future = asyncio.wrap_future
+
+    def counting_wrap_future(future, **kwargs):
+        hops.append(future)
+        return wrap_future(future, **kwargs)
+
+    node = FullNode(lvq_system)
+    handled = []
+    original = node.handle_query
+
+    def handle_query(payload):
+        handled.append(payload)
+        return original(payload)
+
+    node.handle_query = handle_query
+    request = QueryRequest(probe_addresses["Addr3"]).serialize()
+    frame = FRAME_HEADER.pack(len(request)) + request
+
+    def exchange(sock):
+        sock.sendall(frame)
+        (length,) = FRAME_HEADER.unpack(_read_exact(sock, FRAME_HEADER.size))
+        return _read_exact(sock, length)
+
+    try:
+        with NodeServer(node, loop_thread=loop_thread) as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                warm = exchange(sock)
+                monkeypatch.setattr(asyncio, "wrap_future", counting_wrap_future)
+                loop_thread.loop.set_task_factory(counting_factory)
+                try:
+                    for _ in range(200):
+                        assert exchange(sock) == warm
+                finally:
+                    loop_thread.loop.set_task_factory(None)
+                    monkeypatch.undo()
+            stats = server.query_server.stats()
+    finally:
+        loop_thread.stop()
+    assert created == []
+    assert hops == []
+    assert len(handled) == 1
+    assert stats["latency"]["count"] == 1  # the one a worker ran
+    assert stats["inline_hits"] == 200
+    assert stats["completed"] == 201
 
 
 def test_oversized_and_empty_frames_rejected(lvq_system, loop_thread):

@@ -11,12 +11,18 @@ exactly the ground-truth history for its range.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import QueryError, ServerOverloadedError
+from repro.errors import (
+    QueryError,
+    RateLimitedError,
+    RequestShedError,
+    ServerOverloadedError,
+)
 from repro.node.full_node import FullNode
 from repro.node.messages import (
     BatchQueryRequest,
@@ -358,3 +364,248 @@ class TestConcurrentServingStress:
         stats = node.response_cache.stats()
         assert stats["flights"] == 1
         assert stats["coalesced"] + stats["hits"] == 23
+
+
+def _counting_handle_query(node: FullNode) -> "list[bytes]":
+    """Route ``node.handle_query`` through a list of the payloads it ran."""
+    calls: "list[bytes]" = []
+    original = node.handle_query
+
+    def handle_query(payload: bytes) -> bytes:
+        calls.append(payload)
+        return original(payload)
+
+    node.handle_query = handle_query
+    return calls
+
+
+class TestInlineHits:
+    """A cached single query is answered at submit, after admission."""
+
+    def test_repeat_is_answered_without_handle_query(self, system, workload):
+        node = FullNode(system)
+        calls = _counting_handle_query(node)
+        address = workload.probe_addresses["Addr4"]
+        with QueryServer(node, num_workers=2) as server:
+            first = server.query(address)
+            future = server.submit_query(address)
+            assert future.done(), "a hit must come back already resolved"
+            assert future.result() == first
+            stats = server.stats()
+        assert len(calls) == 1
+        assert stats["inline_hits"] == 1
+        assert stats["completed"] == 2 and stats["submitted"] == 2
+        # The latency windows cover the one request a worker ran.
+        assert stats["latency"]["count"] == 1
+
+    def test_hit_is_admitted_completed_and_counted_by_the_cache(
+        self, system, workload
+    ):
+        node = FullNode(system)
+        address = workload.probe_addresses["Addr3"]
+        with QueryServer(node, num_workers=2) as server:
+            server.query(address)
+            server.submit_query(address).result(5)
+            stats = server.stats()
+        admission = stats["admission"]
+        assert admission["admitted"] == 2
+        assert admission["classes"]["interactive"]["admitted"] == 2
+        assert admission["classes"]["interactive"]["completed"] == 2
+        responses = stats["caches"]["responses"]
+        assert (responses["hits"], responses["misses"]) == (1, 1)
+
+    def test_rate_limited_client_is_refused_on_a_cached_key(
+        self, system, workload
+    ):
+        node = FullNode(system)
+        address = workload.probe_addresses["Addr4"]
+        with QueryServer(
+            node, num_workers=2, rate_limit=0.01, rate_burst=1
+        ) as server:
+            warm = server.query(address)  # client None: not rate limited
+            assert server.submit_query(address, client="c").result(5) == warm
+            with pytest.raises(RateLimitedError):
+                server.submit_query(address, client="c")
+            stats = server.stats()
+        assert stats["inline_hits"] == 1
+        assert stats["rejected"] == 1
+        assert stats["admission"]["ratelimited"] == 1
+
+    def test_shed_all_refuses_a_cached_key(self, system, workload):
+        node = FullNode(system)
+        address = workload.probe_addresses["Addr4"]
+        gate = threading.Event()
+        original = node.handle_query
+
+        def gated(payload: bytes) -> bytes:
+            gate.wait(10.0)
+            return original(payload)
+
+        server = QueryServer(
+            node, num_workers=1, max_pending=8, watermarks=(1, 2, 3)
+        )
+        try:
+            server.query(address)
+            node.handle_query = gated
+            # Distinct cold keys pile up behind the gated worker until
+            # the watermark state refuses everything that would queue.
+            queued = []
+            for index in range(8):
+                if server.admission.state() == "shed_all":
+                    break
+                queued.append(server.submit_query(f"cold-{index}"))
+            assert server.admission.state() == "shed_all"
+            with pytest.raises(RequestShedError):
+                server.submit_query(address)
+            assert server.stats()["inline_hits"] == 0
+            gate.set()
+            for future in queued:
+                future.exception(10.0)  # unknown addresses: answered
+        finally:
+            gate.set()
+            server.close()
+
+    @pytest.mark.parametrize("override", ["answer", "handle_query"])
+    def test_a_subclass_that_answers_its_own_way_always_queues(
+        self, system, workload, override
+    ):
+        answered = []
+
+        def answer(self, *args):
+            answered.append(args)
+            return FullNode.answer(self, *args)
+
+        def handle_query(self, payload):
+            answered.append(payload)
+            return FullNode.handle_query(self, payload)
+
+        methods = {"answer": answer, "handle_query": handle_query}
+        node = type("Custom", (FullNode,), {override: methods[override]})(
+            system
+        )
+        address = workload.probe_addresses["Addr4"]
+        payload = QueryRequest(address).serialize()
+        # Even bytes already under the key are never taken inline.
+        with system.lock.read():
+            key = node._response_key(QueryRequest(address))
+        node.response_cache.get_or_build(key, lambda: b"planted")
+        assert node.cached_response(payload) is None
+        with QueryServer(node, num_workers=2) as server:
+            server.query(address)
+            server.query(address)
+            assert server.stats()["inline_hits"] == 0
+        assert len(answered) == 2
+
+
+class TestLockProbe:
+    """The probe tries the read lock; a writer sends the request to the
+    queue instead of stalling the submitter."""
+
+    def test_held_write_lock_falls_back_to_the_queue(self, system, workload):
+        node = FullNode(system)
+        calls = _counting_handle_query(node)
+        address = workload.probe_addresses["Addr4"]
+        holding, release = threading.Event(), threading.Event()
+
+        def writer():
+            with system.lock.write():
+                holding.set()
+                release.wait(10.0)
+
+        with QueryServer(node, num_workers=2) as server:
+            warm = server.query(address)
+            thread = threading.Thread(target=writer)
+            thread.start()
+            try:
+                assert holding.wait(5.0)
+                payload = QueryRequest(address).serialize()
+                assert node.cached_response(payload) is None
+                started = time.monotonic()
+                future = server.submit(payload)
+                assert time.monotonic() - started < 0.5
+                assert not future.done()  # queued behind the writer
+            finally:
+                release.set()
+                thread.join(5.0)
+            assert future.result(5) == warm
+            stats = server.stats()
+        assert len(calls) == 2
+        assert stats["inline_hits"] == 0
+        # The fallen-back request still hit the cache on the worker.
+        assert stats["caches"]["responses"]["hits"] == 1
+
+    def test_repeat_after_equal_length_reorg_gets_the_new_fork(
+        self, system, workload
+    ):
+        node = FullNode(system)
+        address = workload.probe_addresses["Addr6"]
+        tip = system.tip_height
+        with QueryServer(node, num_workers=2) as server:
+            old = server.query(address)
+            assert server.submit_query(address).result(5) == old  # cached
+            replaced, appended = server.reorg(
+                tip - 2, workload.bodies[BUILT_BLOCKS : BUILT_BLOCKS + 2]
+            )
+            assert (replaced, appended) == (2, 2)
+            assert system.tip_height == tip
+            new = server.query(address)
+            again = server.submit_query(address)
+            assert again.done() and again.result() == new
+        assert new != old
+        assert new == FullNode(system).handle_query(
+            QueryRequest(address).serialize()
+        )
+        result = _result_of(new)
+        verify_result(result, system.headers(), CONFIG, address)
+
+    def test_probes_racing_appends_account_for_every_request(self, workload):
+        """More submitters than cores, a short switch interval, appends
+        underneath: every request is answered once and counted once, and
+        every answer verifies against the tip it names."""
+        system = build_system(workload.bodies[:BUILT_BLOCKS], CONFIG)
+        node = FullNode(system)
+        hot = workload.probe_addresses["Addr4"]
+        clients, per_client = 8, 40
+        answers, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(node, num_workers=3, max_pending=256) as server:
+
+                def client():
+                    for _ in range(per_client):
+                        try:
+                            answers.append(
+                                server.submit_query(hot).result(30)
+                            )
+                        except Exception as exc:  # noqa: BLE001 - collect
+                            errors.append(exc)
+
+                def appender():
+                    for body in workload.bodies[BUILT_BLOCKS:]:
+                        system.append_block(body)
+                        time.sleep(0.005)
+
+                threads = [
+                    threading.Thread(target=client) for _ in range(clients)
+                ] + [threading.Thread(target=appender)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        total = clients * per_client
+        assert len(answers) == total
+        assert stats["submitted"] == stats["completed"] == total
+        assert stats["admission"]["admitted"] == total
+        assert stats["admission"]["classes"]["interactive"]["completed"] == total
+        assert stats["inline_hits"] > 0
+        assert stats["inline_hits"] + stats["latency"]["count"] == total
+        for response in set(answers):
+            result = _result_of(response)
+            headers = system.chain.headers()[: result.tip_height + 1]
+            verify_result(result, headers, CONFIG, hot)

@@ -6,7 +6,7 @@ Covers the serving-engine plumbing of :mod:`repro.query.cache`:
 * single-flight coalescing — one computation among concurrent callers,
   exception propagation;
 * the readers/writer lock — mutual exclusion, reader reentrancy while a
-  writer waits, upgrade rejection;
+  writer waits, upgrade rejection, the non-blocking try-read;
 * the wiring into ``BuiltSystem``/``FullNode`` — the PR-1 memo dicts
   are now bounded, response bytes drop on ``append_block`` while the
   append-stable segment/resolution entries survive;
@@ -255,6 +255,96 @@ class TestRWLock:
         for thread in threads:
             thread.join()
 
+    def test_try_read_refuses_while_a_writer_holds(self):
+        lock = RWLock()
+        holding, release = threading.Event(), threading.Event()
+
+        def writer():
+            with lock.write():
+                holding.set()
+                release.wait(5.0)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert holding.wait(5.0)
+            started = time.monotonic()
+            assert lock.try_acquire_read() is False
+            assert time.monotonic() - started < 0.5
+        finally:
+            release.set()
+            thread.join(5.0)
+        assert lock.try_acquire_read() is True
+        lock.release_read()
+
+    def test_try_read_refuses_while_a_writer_waits(self):
+        lock = RWLock()
+        reader_in, reader_out = threading.Event(), threading.Event()
+        writer_done = threading.Event()
+
+        def reader():
+            with lock.read():
+                reader_in.set()
+                reader_out.wait(5.0)
+
+        def writer():
+            with lock.write():
+                writer_done.set()
+
+        threads = [threading.Thread(target=reader)]
+        threads[0].start()
+        assert reader_in.wait(5.0)
+        threads.append(threading.Thread(target=writer))
+        threads[1].start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while not lock._writers_waiting:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            # Readers are in, but a writer is queued: a try-read must
+            # not slip in ahead of it.
+            assert lock.try_acquire_read() is False
+        finally:
+            reader_out.set()
+            for thread in threads:
+                thread.join(5.0)
+        assert writer_done.is_set()
+        assert lock.try_acquire_read() is True
+        lock.release_read()
+
+    def test_try_read_is_reentrant_and_releases_in_balance(self):
+        lock = RWLock()
+        assert lock.try_acquire_read() is True
+        writer_done = threading.Event()
+
+        def writer():
+            with lock.write():
+                writer_done.set()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while not lock._writers_waiting:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        # Already a reader: nesting succeeds behind the waiting writer.
+        assert lock.try_acquire_read() is True
+        lock.release_read()
+        assert not writer_done.wait(0.05)  # one hold still outstanding
+        lock.release_read()
+        assert writer_done.wait(5.0)
+        thread.join(5.0)
+        with pytest.raises(RuntimeError):
+            lock.release_read()
+        assert lock._readers == 0
+
+    def test_writer_may_try_read_its_own_writes(self):
+        lock = RWLock()
+        with lock.write():
+            assert lock.try_acquire_read() is True
+            lock.release_read()
+        assert lock._readers == 0 and lock._writer is None
+
 
 class TestResponseCache:
     def test_build_once_then_serve_bytes(self):
@@ -270,6 +360,15 @@ class TestResponseCache:
         assert len(builds) == 1
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] >= 1
+
+    def test_lookup_counts_a_hit_and_leaves_a_miss_uncounted(self):
+        cache = ResponseCache(64)
+        assert cache.lookup("k") is None
+        assert cache.stats()["misses"] == 0
+        cache.get_or_build("k", lambda: b"payload")
+        assert cache.lookup("k") == b"payload"
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
 
     def test_invalidate_all_empties(self):
         cache = ResponseCache(8)
