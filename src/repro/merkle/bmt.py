@@ -430,7 +430,9 @@ class BmtMultiProof:
         ``positions`` optionally supplies the item's precomputed
         checked-bit positions for ``(num_hashes, size_bits)`` — the
         caller must have derived them for exactly that geometry.
-        ``memo`` reuses and records node hashes across proofs; the
+        ``memo`` reuses and records node hashes across proofs, and
+        returns the recorded outcome for a proof it accepted before with
+        the same bytes, root, geometry, segment, range and item; the
         outcome is the same with or without it.
 
         Raises :class:`VerificationError` on any inconsistency.  On
@@ -464,6 +466,17 @@ class BmtMultiProof:
                 f"BF size {self.bf_bytes * 8} bits differs from the chain "
                 f"parameter {size_bits}"
             )
+        if memo is not None:
+            key = (start_height, num_blocks, first, last, item)
+            entry = memo.proofs.get(key)
+            if (
+                entry is not None
+                and entry[0] == self._raw
+                and entry[1] == expected_root
+                and entry[2] == self.bf_bytes
+                and entry[3] == num_hashes
+            ):
+                return VerifiedBmt(list(entry[4]), list(entry[5]), entry[6])
         if positions is None:
             positions = bloom_positions(item, num_hashes, size_bits)
         result = VerifiedBmt([], [], 0)
@@ -483,6 +496,19 @@ class BmtMultiProof:
         result.num_endpoints = len(result.clean_ranges) + len(
             result.failed_heights
         )
+        if memo is not None:
+            memo.remember_proof(
+                key,
+                (
+                    self._raw,
+                    expected_root,
+                    self.bf_bytes,
+                    num_hashes,
+                    tuple(result.clean_ranges),
+                    tuple(result.failed_heights),
+                    result.num_endpoints,
+                ),
+            )
         return result
 
     # -- inspection --------------------------------------------------------
