@@ -23,6 +23,8 @@ ADDRESSES_PER_BLOCK = 96
 NUM_HASHES = 3
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: The scale the committed ``results/*.txt`` were measured at.
+COMMITTED_SCALE = (1024, 40)
 
 #: Fig 13/14/15 sweep, in paper KiB.
 BF_SWEEP_KIB = (10, 30, 50, 100, 200, 500)
@@ -33,10 +35,20 @@ def bf_bytes(paper_kib: float) -> int:
     return paper_equivalent_bf_bytes(paper_kib, ADDRESSES_PER_BLOCK)
 
 
+def report_dir() -> pathlib.Path:
+    """Where this run's tables go: ``results/`` at the committed scale,
+    ``results/scale-<blocks>x<txs>/`` (git-ignored) at any other, so a
+    smoke run never overwrites the tables EXPERIMENTS.md quotes."""
+    if (BENCH_BLOCKS, BENCH_TXS) == COMMITTED_SCALE:
+        return RESULTS_DIR
+    return RESULTS_DIR / f"scale-{BENCH_BLOCKS}x{BENCH_TXS}"
+
+
 def write_report(name: str, text: str) -> None:
     """Print a table and persist it for EXPERIMENTS.md."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    directory = report_dir()
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
     print(f"\n=== {name} (blocks={BENCH_BLOCKS}) ===")
     print(text)
 

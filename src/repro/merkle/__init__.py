@@ -12,7 +12,6 @@ from repro.merkle.bmt import (
     BmtNode,
     BmtTree,
     BmtEndpoint,
-    BmtBranch,
     BmtMultiProof,
     EndpointKind,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "BmtNode",
     "BmtTree",
     "BmtEndpoint",
-    "BmtBranch",
     "BmtMultiProof",
     "EndpointKind",
 ]

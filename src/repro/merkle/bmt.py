@@ -18,17 +18,19 @@ its whole subtree) or a leaf whose check fails (``LEAF_FAILED`` — the
 address is either really in that block or a false positive; block-level
 SMT evidence resolves which).
 
-Two proof forms are implemented:
+A built node holds its filter as the bytes a proof ships (``raw``),
+made once when the node is built: the OR of Eq 3 runs on ``int`` images
+at build time only, and a descent tests the item's ``(byte, bit)``
+pairs straight on those bytes.
 
-* :class:`BmtBranch` — the single-endpoint branch of Fig 4/5, with
-  ``(hash, bf)`` sibling stubs along the path;
-* :class:`BmtMultiProof` — the merged proof of Fig 11.  Because a failed
-  check always explores *both* children, the union of all endpoint paths
-  is a full frontier of the tree, so the merged proof is simply a
-  recursive partial-tree encoding in which every interior ``(hash, bf)``
-  is recomputed by the verifier and only endpoint filters ship.  The
-  proof object *is* that encoding: the verifier replays the wire bytes
-  directly, never building a filter object per node.
+Queries ship :class:`BmtMultiProof`, the merged proof of Fig 11.
+Because a failed check always explores *both* children, the union of
+all endpoint paths is a full frontier of the tree, so the merged proof
+is simply a recursive partial-tree encoding in which every interior
+``(hash, bf)`` is recomputed by the verifier and only endpoint filters
+ship.  The proof object *is* that encoding: the prover joins its nodes'
+``raw`` bytes, and the verifier replays the wire bytes directly, never
+building a filter object per node.
 
 A verifier memo (``nodes`` of :class:`repro.query.memo.VerifierMemo`)
 lets a verifier skip hash work an earlier replay already did at the same
@@ -42,9 +44,9 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.bloom.bitarray import BitArray
 from repro.bloom.filter import BloomFilter, bloom_positions
-from repro.crypto.encoding import ByteReader, write_varint
+from repro.crypto.encoding import ByteReader
 from repro.crypto.hashing import HASH_SIZE, tagged_hash
-from repro.errors import EncodingError, ProofError, VerificationError
+from repro.errors import EncodingError, VerificationError
 
 if TYPE_CHECKING:
     from repro.query.memo import VerifierMemo
@@ -84,23 +86,47 @@ class EndpointKind(enum.Enum):
     LEAF_FAILED = "leaf_failed"  # bottom layer reached with all bits set
 
 
-def leaf_hash(bf: BloomFilter) -> bytes:
-    return tagged_hash(_LEAF_TAG, bf.to_bytes())
+def leaf_hash(raw: bytes) -> bytes:
+    """Eq 2 at layer 0, over a leaf filter's bytes."""
+    return tagged_hash(_LEAF_TAG, raw)
 
 
-def node_hash(left_hash: bytes, right_hash: bytes, bf: BloomFilter) -> bytes:
-    return tagged_hash(_NODE_TAG, left_hash, right_hash, bf.to_bytes())
+def node_hash(left_hash: bytes, right_hash: bytes, raw: bytes) -> bytes:
+    """Eq 2 above layer 0, over the node filter's bytes."""
+    return tagged_hash(_NODE_TAG, left_hash, right_hash, raw)
+
+
+#: Checked-bit positions as ``(byte index, bit mask)`` pairs into a
+#: filter's bytes (bit ``i`` is bit ``i % 8`` of byte ``i // 8``).
+Probes = Tuple[Tuple[int, int], ...]
+
+
+def _probes(positions: Sequence[int]) -> Probes:
+    return tuple((position >> 3, 1 << (position & 7)) for position in positions)
+
+
+def _check_fails(raw: bytes, probes: Probes) -> bool:
+    """The paper's failed check on a filter's bytes: every checked bit
+    position is set."""
+    for index, bit in probes:
+        if not raw[index] & bit:
+            return False
+    return True
 
 
 class BmtNode:
-    """One node of a built BMT; leaves know which block height they cover."""
+    """One node of a built BMT; leaves know which block height they cover.
 
-    __slots__ = ("hash", "bf", "layer", "start", "end", "left", "right")
+    ``raw`` is the node's filter as shipped: the leaf filter's bytes, or
+    the bytes of ``left | right`` (Eq 3).
+    """
+
+    __slots__ = ("hash", "raw", "layer", "start", "end", "left", "right")
 
     def __init__(
         self,
         hash_value: bytes,
-        bf: BloomFilter,
+        raw: bytes,
         layer: int,
         start: int,
         end: int,
@@ -108,7 +134,7 @@ class BmtNode:
         right: "Optional[BmtNode]" = None,
     ) -> None:
         self.hash = hash_value
-        self.bf = bf
+        self.raw = raw
         self.layer = layer
         self.start = start  # first covered block height (inclusive)
         self.end = end  # last covered block height (inclusive)
@@ -127,6 +153,33 @@ class BmtNode:
         return f"BmtNode(layer={self.layer}, blocks=[{self.start},{self.end}])"
 
 
+def _leaf(height: int, bf: BloomFilter) -> BmtNode:
+    raw = bf.to_bytes()
+    return BmtNode(leaf_hash(raw), raw, 0, height, height)
+
+
+def _parent(left: BmtNode, right: BmtNode) -> BmtNode:
+    """The node over two adjacent siblings: its filter is their OR
+    (Eq 3), done on ``int`` images once, here."""
+    width = len(left.raw)
+    if len(right.raw) != width:
+        raise ValueError(
+            f"BMT filter width mismatch: {width} vs {len(right.raw)} bytes"
+        )
+    raw = (
+        int.from_bytes(left.raw, "little") | int.from_bytes(right.raw, "little")
+    ).to_bytes(width, "little")
+    return BmtNode(
+        node_hash(left.hash, right.hash, raw),
+        raw,
+        left.layer + 1,
+        left.start,
+        right.end,
+        left,
+        right,
+    )
+
+
 class BmtEndpoint:
     """An endpoint node found by the existence check."""
 
@@ -141,10 +194,15 @@ class BmtEndpoint:
 
 
 class BmtTree:
-    """A built BMT over the Bloom filters of consecutive blocks."""
+    """A built BMT over the Bloom filters of consecutive blocks.
 
-    def __init__(self, root: BmtNode) -> None:
+    ``num_hashes`` is the filters' hash count, the one part of their
+    geometry the bytes do not carry; the width is ``len(root.raw)``.
+    """
+
+    def __init__(self, root: BmtNode, num_hashes: int) -> None:
         self.root = root
+        self.num_hashes = num_hashes
 
     @classmethod
     def build(cls, leaves: Sequence[Tuple[int, BloomFilter]]) -> "BmtTree":
@@ -161,36 +219,25 @@ class BmtTree:
         heights = [height for height, _bf in leaves]
         if heights != list(range(heights[0], heights[0] + count)):
             raise ValueError("BMT leaves must cover consecutive heights")
-        nodes = [
-            BmtNode(leaf_hash(bf), bf, 0, height, height)
-            for height, bf in leaves
-        ]
-        layer = 0
+        num_hashes = leaves[0][1].num_hashes
+        if any(bf.num_hashes != num_hashes for _height, bf in leaves):
+            raise ValueError("BMT leaves must share one hash count")
+        nodes = [_leaf(height, bf) for height, bf in leaves]
         while len(nodes) > 1:
-            layer += 1
-            paired = []
-            for i in range(0, len(nodes), 2):
-                left, right = nodes[i], nodes[i + 1]
-                merged = left.bf | right.bf
-                paired.append(
-                    BmtNode(
-                        node_hash(left.hash, right.hash, merged),
-                        merged,
-                        layer,
-                        left.start,
-                        right.end,
-                        left,
-                        right,
-                    )
-                )
-            nodes = paired
-        return cls(nodes[0])
+            nodes = [
+                _parent(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)
+            ]
+        return cls(nodes[0], num_hashes)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def num_leaves(self) -> int:
         return self.root.num_blocks
+
+    @property
+    def bf_bytes(self) -> int:
+        return len(self.root.raw)
 
     @property
     def depth(self) -> int:
@@ -216,54 +263,27 @@ class BmtTree:
         query instead of once per tree).
         """
         if positions is None:
-            positions = bloom_positions(
-                item, self.root.bf.num_hashes, self.root.bf.size_bits
-            )
+            positions = self._positions(item)
         endpoints: List[BmtEndpoint] = []
-        self._descend(self.root, BitArray.positions_mask(positions), endpoints)
+        self._descend(self.root, _probes(positions), endpoints)
         return endpoints
 
+    def _positions(self, item: bytes) -> List[int]:
+        return bloom_positions(item, self.num_hashes, self.bf_bytes * 8)
+
     @staticmethod
-    def _descend(node: BmtNode, mask: int, out: List[BmtEndpoint]) -> None:
-        if not node.bf.bits.covers_mask(mask):
+    def _descend(node: BmtNode, probes: Probes, out: List[BmtEndpoint]) -> None:
+        if not _check_fails(node.raw, probes):
             out.append(BmtEndpoint(node, EndpointKind.CLEAN))
             return
         if node.is_leaf:
             out.append(BmtEndpoint(node, EndpointKind.LEAF_FAILED))
             return
         assert node.left is not None and node.right is not None
-        BmtTree._descend(node.left, mask, out)
-        BmtTree._descend(node.right, mask, out)
+        BmtTree._descend(node.left, probes, out)
+        BmtTree._descend(node.right, probes, out)
 
     # -- proofs ------------------------------------------------------------
-
-    def branch(self, endpoint: BmtEndpoint) -> "BmtBranch":
-        """Single-endpoint branch (Fig 4/5) for one endpoint node."""
-        path: List[BmtNode] = []
-        node = self.root
-        while node is not endpoint.node:
-            assert node.left is not None and node.right is not None
-            if endpoint.node.end <= node.left.end:
-                path.append(node.right)
-                node = node.left
-            else:
-                path.append(node.left)
-                node = node.right
-        # ``path`` holds siblings from root level down; reverse for fold-up.
-        siblings = [(sib.hash, sib.bf) for sib in reversed(path)]
-        child_hashes = None
-        if not endpoint.node.is_leaf:
-            assert endpoint.node.left is not None
-            assert endpoint.node.right is not None
-            child_hashes = (endpoint.node.left.hash, endpoint.node.right.hash)
-        index = (endpoint.node.start - self.start) >> endpoint.node.layer
-        return BmtBranch(
-            endpoint.node.bf,
-            endpoint.node.layer,
-            index,
-            child_hashes,
-            siblings,
-        )
 
     def multiproof(
         self,
@@ -276,7 +296,7 @@ class BmtTree:
         wire encoding of :meth:`frontier`."""
         return BmtMultiProof.encode(
             self.frontier(item, query_range, positions, failed_heights),
-            self.root.bf.size_bytes,
+            self.bf_bytes,
         )
 
     def frontier(
@@ -308,9 +328,7 @@ class BmtTree:
         tuple per shipped node and copies no filter.
         """
         if positions is None:
-            positions = bloom_positions(
-                item, self.root.bf.num_hashes, self.root.bf.size_bits
-            )
+            positions = self._positions(item)
         if query_range is None:
             query_range = (self.start, self.end)
         first, last = query_range
@@ -319,15 +337,16 @@ class BmtTree:
                 f"query range [{first},{last}] does not intersect the tree "
                 f"range [{self.start},{self.end}]"
             )
-        mask = BitArray.positions_mask(positions)
         out: "List[Tuple[int, BmtNode]]" = []
-        self._collect(self.root, mask, first, last, failed_heights, out)
+        self._collect(
+            self.root, _probes(positions), first, last, failed_heights, out
+        )
         return out
 
     @staticmethod
     def _collect(
         node: BmtNode,
-        mask: int,
+        probes: Probes,
         first: int,
         last: int,
         failed_heights: "Optional[List[int]]",
@@ -338,7 +357,7 @@ class BmtTree:
                 (_TAG_STUB_LEAF if node.is_leaf else _TAG_STUB_INTERNAL, node)
             )
             return
-        if not node.bf.bits.covers_mask(mask):
+        if not _check_fails(node.raw, probes):
             out.append(
                 (_TAG_CLEAN_LEAF if node.is_leaf else _TAG_CLEAN_INTERNAL, node)
             )
@@ -350,8 +369,8 @@ class BmtTree:
             return
         assert node.left is not None and node.right is not None
         out.append((_TAG_INTERNAL, node))
-        BmtTree._collect(node.left, mask, first, last, failed_heights, out)
-        BmtTree._collect(node.right, mask, first, last, failed_heights, out)
+        BmtTree._collect(node.left, probes, first, last, failed_heights, out)
+        BmtTree._collect(node.right, probes, first, last, failed_heights, out)
 
     def __repr__(self) -> str:
         return f"BmtTree(blocks=[{self.start},{self.end}], depth={self.depth})"
@@ -396,7 +415,8 @@ class BmtMultiProof:
     def encode(
         cls, frontier: "Sequence[Tuple[int, BmtNode]]", bf_bytes: int
     ) -> "BmtMultiProof":
-        """Write a :meth:`BmtTree.frontier` as a multiproof."""
+        """Write a :meth:`BmtTree.frontier` as a multiproof: a join of
+        tag bytes, hashes and the nodes' own ``raw`` filter bytes."""
         parts: List[bytes] = []
         for tag, node in frontier:
             parts.append(_TAG_BYTES[tag])
@@ -408,7 +428,7 @@ class BmtMultiProof:
                 parts.append(node.right.hash)
             elif tag == _TAG_STUB_INTERNAL:
                 parts.append(node.hash)
-            parts.append(node.bf.to_bytes())
+            parts.append(node.raw)
         return cls(b"".join(parts), bf_bytes)
 
     # -- verification ------------------------------------------------------
@@ -744,117 +764,6 @@ def _replay(
     return node(0, depth, start_height)[0]
 
 
-class BmtBranch:
-    """Single-endpoint BMT branch (Fig 4/5); mostly pedagogical — queries
-    ship :class:`BmtMultiProof`, which merges all branches of a tree."""
-
-    __slots__ = ("bf", "layer", "index", "child_hashes", "siblings")
-
-    def __init__(
-        self,
-        bf: BloomFilter,
-        layer: int,
-        index: int,
-        child_hashes: Optional[Tuple[bytes, bytes]],
-        siblings: Sequence[Tuple[bytes, BloomFilter]],
-    ) -> None:
-        if layer == 0 and child_hashes is not None:
-            raise ProofError("leaf endpoints have no child hashes")
-        if layer > 0 and child_hashes is None:
-            raise ProofError("internal endpoints need their child hashes")
-        if index < 0 or index >> len(siblings):
-            raise ProofError(
-                f"endpoint index {index} does not fit above depth "
-                f"{len(siblings)}"
-            )
-        self.bf = bf
-        self.layer = layer
-        self.index = index
-        self.child_hashes = child_hashes
-        self.siblings = list(siblings)
-
-    def endpoint_hash(self) -> bytes:
-        if self.layer == 0:
-            return leaf_hash(self.bf)
-        assert self.child_hashes is not None
-        return node_hash(self.child_hashes[0], self.child_hashes[1], self.bf)
-
-    def compute_root(self) -> Tuple[bytes, BloomFilter]:
-        """Fold to the root; returns ``(root_hash, root_bf)``."""
-        current_hash = self.endpoint_hash()
-        current_bf = self.bf
-        index = self.index
-        for sibling_hash, sibling_bf in self.siblings:
-            merged = current_bf | sibling_bf
-            if index & 1:
-                current_hash = node_hash(sibling_hash, current_hash, merged)
-            else:
-                current_hash = node_hash(current_hash, sibling_hash, merged)
-            current_bf = merged
-            index >>= 1
-        return current_hash, current_bf
-
-    def verify_inexistence(
-        self, expected_root: bytes, item: bytes
-    ) -> Tuple[int, int]:
-        """Verify the branch and that the endpoint check succeeds for
-        ``item``; returns the covered ``(offset, span)`` relative to the
-        tree start: blocks ``start + offset .. start + offset + span - 1``.
-        """
-        root_hash, _root_bf = self.compute_root()
-        if root_hash != expected_root:
-            raise VerificationError("BMT branch root hash mismatch")
-        positions = bloom_positions(item, self.bf.num_hashes, self.bf.size_bits)
-        if self.bf.bits.covers_positions(positions):
-            raise VerificationError(
-                "BMT branch endpoint does not witness inexistence: every "
-                "checked bit position is set"
-            )
-        span = 1 << self.layer
-        return self.index * span, span
-
-    # -- serialization -----------------------------------------------------
-
-    def serialize(self) -> bytes:
-        parts = [
-            write_varint(self.layer),
-            write_varint(self.index),
-            self.bf.to_bytes(),
-        ]
-        if self.child_hashes is not None:
-            parts.extend(self.child_hashes)
-        parts.append(write_varint(len(self.siblings)))
-        for sibling_hash, sibling_bf in self.siblings:
-            parts.append(sibling_hash)
-            parts.append(sibling_bf.to_bytes())
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(
-        cls, reader: ByteReader, size_bits: int, num_hashes: int
-    ) -> "BmtBranch":
-        layer = reader.varint()
-        index = reader.varint()
-        bf = BloomFilter.from_bytes(reader.bytes(size_bits // 8), num_hashes)
-        child_hashes = None
-        if layer > 0:
-            child_hashes = (reader.bytes(HASH_SIZE), reader.bytes(HASH_SIZE))
-        count = reader.varint()
-        if count > 64:
-            raise EncodingError(f"implausible BMT branch depth {count}")
-        siblings = []
-        for _ in range(count):
-            sibling_hash = reader.bytes(HASH_SIZE)
-            sibling_bf = BloomFilter.from_bytes(
-                reader.bytes(size_bits // 8), num_hashes
-            )
-            siblings.append((sibling_hash, sibling_bf))
-        return cls(bf, layer, index, child_hashes, siblings)
-
-    def size_bytes(self) -> int:
-        return len(self.serialize())
-
-
 class BmtForest:
     """Shared-subtree cache over a chain's per-block filters.
 
@@ -867,14 +776,16 @@ class BmtForest:
     def __init__(self) -> None:
         self._bfs: Dict[int, BloomFilter] = {}
         self._nodes: Dict[Tuple[int, int], BmtNode] = {}
+        self._num_hashes: Optional[int] = None
 
     def add_block(self, height: int, bf: BloomFilter) -> None:
         if height in self._bfs:
             raise ValueError(f"height {height} already registered")
+        if self._num_hashes is None:
+            self._num_hashes = bf.num_hashes
+        elif bf.num_hashes != self._num_hashes:
+            raise ValueError("BMT leaves must share one hash count")
         self._bfs[height] = bf
-
-    def block_filter(self, height: int) -> BloomFilter:
-        return self._bfs[height]
 
     @property
     def max_height(self) -> int:
@@ -908,23 +819,14 @@ class BmtForest:
             bf = self._bfs.get(start)
             if bf is None:
                 raise ValueError(f"no Bloom filter registered for height {start}")
-            built = BmtNode(leaf_hash(bf), bf, 0, start, start)
+            built = _leaf(start, bf)
         else:
             mid = start + count // 2
-            left = self.node(start, mid - 1)
-            right = self.node(mid, end)
-            merged = left.bf | right.bf
-            built = BmtNode(
-                node_hash(left.hash, right.hash, merged),
-                merged,
-                left.layer + 1,
-                start,
-                end,
-                left,
-                right,
-            )
+            built = _parent(self.node(start, mid - 1), self.node(mid, end))
         self._nodes[key] = built
         return built
 
     def tree(self, start: int, end: int) -> BmtTree:
-        return BmtTree(self.node(start, end))
+        root = self.node(start, end)
+        assert self._num_hashes is not None  # node() found registered filters
+        return BmtTree(root, self._num_hashes)

@@ -6,30 +6,70 @@ attacks — omit a transaction, forge a count, hide a block range, swap a
 filter, truncate the answer — and the test suite asserts that every one
 of them makes :func:`repro.query.verifier.verify_result` raise.
 
-Each attack is a function ``QueryResult -> QueryResult`` (mutating a deep
-enough copy); :class:`MaliciousFullNode` applies one to every honest
-answer.  Attacks silently do nothing when the result has no material to
-attack (e.g. omitting a transaction from an empty history) — tests guard
-against that with ``attack_applies``.
+Each attack is a function ``QueryResult -> QueryResult`` that mutates
+its argument: a copy made by :func:`materialize`, whose resolutions are
+objects decoded fresh from the bytes the honest prover shipped (the
+prover itself answers with wire bytes, which nothing can tamper with).
+:class:`MaliciousFullNode` applies one to every honest answer.  Attacks
+silently do nothing when the result has no material to attack (e.g.
+omitting a transaction from an empty history) — tests guard against
+that with ``attack_applies``.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.crypto.hashing import HASH_SIZE
 from repro.merkle.bmt import BmtMultiProof
 from repro.node.full_node import FullNode
 from repro.query.builder import BuiltSystem
+from repro.query.batch import BatchQueryResult
 from repro.query.fragments import (
     ExistenceResolution,
     FpmResolution,
     IntegralBlockResolution,
+    WireResolution,
 )
 from repro.query.result import QueryResult
 
 Attack = Callable[[QueryResult], QueryResult]
+
+Answer = TypeVar("Answer", QueryResult, BatchQueryResult)
+
+
+def _decoded(resolution):
+    if isinstance(resolution, WireResolution):
+        return resolution.decoded()
+    return resolution
+
+
+def materialize(answer: Answer) -> Answer:
+    """A deep copy of a result or batch whose every resolution is an
+    object decoded fresh from its wire bytes — what a tamper edits.
+
+    Honest answers carry :class:`WireResolution` values over the
+    prover's memoized bytes; the copy is taken first, so each object is
+    decoded inside it and shares no mutable part with the answer it came
+    from: editing it can change neither that answer nor any later one.
+    """
+    copied = copy.deepcopy(answer)
+    answer_lists: "List[list]" = []
+    if isinstance(copied, QueryResult):
+        segment_lists = [copied.segments or []]
+        for block in copied.blocks or []:
+            block.resolution = _decoded(block.resolution)
+    else:
+        segment_lists = copied.per_address_segments or []
+        answer_lists = copied.per_address_answers or []
+    for segments in segment_lists:
+        for segment in segments:
+            for height, resolution in segment.resolutions.items():
+                segment.resolutions[height] = _decoded(resolution)
+    for answers in answer_lists:
+        answers[:] = [_decoded(resolution) for resolution in answers]
+    return copied
 
 
 class MaliciousFullNode(FullNode):
@@ -49,7 +89,7 @@ class MaliciousFullNode(FullNode):
     ) -> QueryResult:
         honest = super().answer(address, first_height, last_height)
         reference = honest.serialize(self.system.config)
-        attacked = self._attack(copy.deepcopy(honest))
+        attacked = self._attack(materialize(honest))
         self.last_attack_applied = (
             attacked.serialize(self.system.config) != reference
         )
@@ -85,7 +125,7 @@ class MaliciousFullNode(FullNode):
                 last_height=honest.last_height,
             )
             reference = wrapped.serialize(config)
-            attacked = self._attack(copy.deepcopy(wrapped))
+            attacked = self._attack(materialize(wrapped))
             if attacked.serialize(config) != reference:
                 applied = True
                 if attacked.segments is not None:

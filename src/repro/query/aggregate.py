@@ -41,7 +41,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.crypto.encoding import read_varint, write_var_bytes, write_varint
+from repro.crypto.encoding import (
+    ByteReader,
+    read_varint,
+    write_var_bytes,
+    write_varint,
+)
 from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError, ProofError
 from repro.merkle.bmt import (
@@ -50,8 +55,6 @@ from repro.merkle.bmt import (
     _TAG_INTERNAL,
     BmtMultiProof,
 )
-from repro.merkle.sorted_tree import SmtBranch
-from repro.merkle.tree import MerkleBranch
 from repro.query.batch import BatchQueryResult
 from repro.query.config import SystemConfig
 from repro.query.fragments import (
@@ -59,10 +62,8 @@ from repro.query.fragments import (
     _RES_EXISTENCE,
     _RES_FPM,
     _RES_INTEGRAL,
-    ExistenceResolution,
-    FpmResolution,
-    IntegralBlockResolution,
     SegmentProof,
+    _serialize_resolution,
 )
 from repro.query.result import QueryResult
 
@@ -108,45 +109,64 @@ class _Tokens:
         self.items.append((_VAR, data))
 
 
-def _walk_smt_branch(branch: SmtBranch, sink) -> None:
-    sink.var_blob(branch.leaf.address.encode("utf-8"))
-    sink.varint(branch.leaf.count)
-    sink.varint(branch.leaf_index)
-    sink.varint(len(branch.siblings))
-    for sibling in branch.siblings:
-        sink.fixed_blob(sibling)
-
-
-def _walk_merkle_branch(branch: MerkleBranch, sink) -> None:
-    sink.fixed_blob(branch.leaf_hash)
-    sink.varint(branch.leaf_index)
-    sink.varint(len(branch.siblings))
-    for sibling in branch.siblings:
-        sink.fixed_blob(sibling)
-
-
 def _walk_resolution(resolution, sink) -> None:
-    sink.raw(bytes([resolution.tag]))
-    if isinstance(resolution, ExistenceResolution):
-        sink.raw(b"\x01" if resolution.smt_branch is not None else b"\x00")
-        if resolution.smt_branch is not None:
-            _walk_smt_branch(resolution.smt_branch, sink)
-        sink.varint(len(resolution.entries))
-        for entry in resolution.entries:
-            sink.var_blob(entry.transaction.serialize())
-            _walk_merkle_branch(entry.branch, sink)
-    elif isinstance(resolution, FpmResolution):
-        proof = resolution.proof
-        flags = (1 if proof.predecessor else 0) | (2 if proof.successor else 0)
-        sink.raw(bytes([flags]))
-        if proof.predecessor is not None:
-            _walk_smt_branch(proof.predecessor, sink)
-        if proof.successor is not None:
-            _walk_smt_branch(proof.successor, sink)
-    elif isinstance(resolution, IntegralBlockResolution):
-        sink.var_blob(resolution.body)
+    """Tokenize one resolution's tag-first wire bytes.
+
+    The slots — SMT leaf addresses, hashes, transactions, an integral
+    body — are taken as slices of the bytes the resolution ships as, and
+    every byte between them goes out as raw, so the walk emits exactly
+    what a walk of the decoded objects would, without decoding or
+    re-encoding anything.  The prover's answers already hold those
+    bytes; any other resolution is serialized once first.
+    """
+    data = _serialize_resolution(resolution)
+    reader = ByteReader(data)
+    mark = 0  # first byte not yet emitted
+
+    def slot(length: int) -> None:
+        """One blob slot: ``length`` bytes, or var_bytes when 0."""
+        nonlocal mark
+        start = reader.offset
+        if start > mark:
+            sink.raw(data[mark:start])
+        if length:
+            sink.fixed_blob(reader.bytes(length))
+        else:
+            sink.var_blob(reader.var_bytes())
+        mark = reader.offset
+
+    def hashes() -> None:
+        for _ in range(reader.varint()):
+            slot(HASH_SIZE)
+
+    def smt_branch() -> None:
+        slot(0)  # leaf address
+        reader.varint()  # leaf count
+        reader.varint()  # leaf index
+        hashes()
+
+    tag = reader.bytes(1)[0]
+    if tag == _RES_EXISTENCE:
+        if reader.bytes(1)[0]:
+            smt_branch()
+        for _ in range(reader.varint()):
+            slot(0)  # transaction
+            slot(HASH_SIZE)  # Merkle leaf hash
+            reader.varint()  # leaf index
+            hashes()
+    elif tag == _RES_FPM:
+        flags = reader.bytes(1)[0]
+        if flags & 1:
+            smt_branch()
+        if flags & 2:
+            smt_branch()
+    elif tag == _RES_INTEGRAL:
+        slot(0)
     else:  # pragma: no cover - fragment constructors reject unknown types
-        raise ProofError(f"unknown resolution type {type(resolution).__name__}")
+        raise ProofError(f"unknown resolution tag {tag}")
+    reader.finish()
+    if mark < len(data):
+        sink.raw(data[mark:])
 
 
 def _walk_multiproof(proof: BmtMultiProof, sink) -> None:

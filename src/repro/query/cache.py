@@ -19,8 +19,9 @@ module supplies the serving-grade replacements:
   byte-bounded LRU plus a single-flight front, keyed ``(address, range,
   tip)``.  Hot addresses are proven and serialized once per tip and then
   served as a memcpy.
-* :class:`QueryCaches` — the per-system bundle (resolutions, segments)
-  wired into :class:`~repro.query.builder.BuiltSystem`.
+* :class:`QueryCaches` — the per-system bundle (resolutions as wire
+  bytes, bounded in bytes; segments, bounded in entries) wired into
+  :class:`~repro.query.builder.BuiltSystem`.
 
 Invalidation rules (DESIGN.md §8): block resolutions and segment
 multiproofs are **append-stable** — a block is immutable once appended
@@ -466,30 +467,60 @@ class ResponseCache:
 #: Default bounds: sized for the benchmark chains (1024 blocks x a few
 #: hot addresses) while keeping worst-case memory far below the chain
 #: itself.  Callers with other traffic shapes pass their own QueryCaches.
-DEFAULT_MAX_RESOLUTIONS = 65_536
+#: The resolution memo holds wire bytes and is bounded by them: no e2e
+#: workload fills it (EXPERIMENTS.md lists each one's peak).
+DEFAULT_RESOLUTION_BYTES = 32 * 1024 * 1024
 DEFAULT_MAX_SEGMENTS = 16_384
+
+
+#: The resolution memo keeps each wire image as pieces of at most this
+#: many bytes, small enough for CPython's small-object allocator (512
+#: bytes, object header included).  Whole images, mostly 0.5-3 KB, came
+#: from the C heap, where each long-lived one pinned the space around it
+#: that the response-sized buffers of every answer had used: peak RSS was
+#: +19 MiB after 12,000 ``history_cold`` answers (DESIGN.md §8).
+RESOLUTION_PIECE_BYTES = 448
+
+
+def _joined_len(pieces: "tuple[bytes, ...]") -> int:
+    return sum(map(len, pieces))
 
 
 class QueryCaches:
     """The per-system cache bundle carried by ``BuiltSystem``.
 
-    ``resolutions`` and ``segments`` subsume PR 1's unbounded memo dicts;
-    both hold append-stable values, so chain growth never invalidates
-    them.  Response-byte caches live on each :class:`FullNode` (two nodes
-    wrapping one system may answer differently, e.g. the adversarial
-    test doubles) and register themselves via the system's append
-    listeners for tip invalidation.
+    ``resolutions`` maps ``(address, height)`` to the resolution's
+    tag-first wire bytes — read and written through
+    :meth:`resolution_wire` and :meth:`remember_resolution`, held as
+    :data:`RESOLUTION_PIECE_BYTES` pieces — bounded by the bytes it
+    holds; ``segments`` maps a segment key to its ``(frontier, failed
+    heights)``, bounded in entries.  Both hold append-stable values, so chain growth never
+    invalidates them.  Response-byte caches live on each
+    :class:`FullNode` (two nodes wrapping one system may answer
+    differently, e.g. the adversarial test doubles) and register
+    themselves via the system's append listeners for tip invalidation.
     """
 
     __slots__ = ("resolutions", "segments")
 
     def __init__(
         self,
-        max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+        max_resolution_bytes: int = DEFAULT_RESOLUTION_BYTES,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
     ) -> None:
-        self.resolutions = LRUCache(max_resolutions)
+        self.resolutions = LRUCache(max_resolution_bytes, weigh=_joined_len)
         self.segments = LRUCache(max_segments)
+
+    def resolution_wire(self, key: Hashable) -> "bytes | None":
+        """The wire bytes memoized under ``key``, or ``None``."""
+        pieces = self.resolutions.get(key)
+        return None if pieces is None else b"".join(pieces)
+
+    def remember_resolution(self, key: Hashable, wire: bytes) -> None:
+        self.resolutions[key] = tuple(
+            wire[start : start + RESOLUTION_PIECE_BYTES]
+            for start in range(0, len(wire), RESOLUTION_PIECE_BYTES)
+        )
 
     def clear(self) -> None:
         self.resolutions.clear()
@@ -522,6 +553,6 @@ class QueryCaches:
 
     def stats(self) -> "dict[str, dict]":
         return {
-            "resolutions": self.resolutions.stats().as_dict(),
+            "resolutions": self.resolutions.stats().as_dict("bytes"),
             "segments": self.segments.stats().as_dict(),
         }

@@ -17,10 +17,16 @@ Non-BMT systems answer with one :class:`PerBlockAnswer` per block
 systems answer with one :class:`SegmentProof` per covering (sub-)segment.
 
 Every class serializes byte-exactly; reported result sizes are always
-``len(serialize())``.  A light node decodes segment proofs with its
-:class:`~repro.query.memo.VerifierMemo` (``memo=``): each resolution
-then arrives as a :class:`WireResolution`, and one whose exact bytes the
-memo already accepted for the same address and height is not decoded.
+``len(serialize())``.
+
+:class:`WireResolution` — a resolution held as its exact wire bytes —
+is used on both sides of the wire.  The prover memoizes each resolution
+once, as those bytes, and answers with a fresh :class:`WireResolution`
+over them, so shipping one is a join, not an encode.  A light node
+decodes segment proofs with its :class:`~repro.query.memo.VerifierMemo`
+(``memo=``): each resolution then arrives as a :class:`WireResolution`,
+and one whose exact bytes the memo already accepted for the same address
+and height is not decoded.
 """
 
 from __future__ import annotations
@@ -86,12 +92,6 @@ class ExistenceResolution:
         self.smt_branch = smt_branch
         self.entries = entries
 
-    def copy(self) -> "ExistenceResolution":
-        """Fresh top-level containers over shared (immutable-by-contract)
-        proof leaves — what the prover's memo hands to each caller so one
-        caller's tampering can never leak into another's answer."""
-        return ExistenceResolution(self.smt_branch, list(self.entries))
-
     def serialize(self) -> bytes:
         parts = [bytes([1 if self.smt_branch is not None else 0])]
         if self.smt_branch is not None:
@@ -132,11 +132,6 @@ class FpmResolution:
     def __init__(self, proof: SmtInexistenceProof) -> None:
         self.proof = proof
 
-    def copy(self) -> "FpmResolution":
-        """Fresh wrapper over the shared inexistence proof (see
-        :meth:`ExistenceResolution.copy`)."""
-        return FpmResolution(self.proof)
-
     def serialize(self) -> bytes:
         return self.proof.serialize()
 
@@ -160,10 +155,6 @@ class IntegralBlockResolution:
             raise ProofError("integral block body cannot be empty")
         self.body = body
         self._transactions: "Optional[List[Transaction]]" = None
-
-    def copy(self) -> "IntegralBlockResolution":
-        """Fresh wrapper over the shared (immutable) body bytes."""
-        return IntegralBlockResolution(self.body)
 
     def transactions(self) -> List[Transaction]:
         if self._transactions is None:
@@ -194,6 +185,9 @@ _RESOLUTION_BY_TAG = {
 
 
 def _serialize_resolution(resolution) -> bytes:
+    """The tag-first wire bytes of any resolution."""
+    if isinstance(resolution, WireResolution):
+        return resolution.wire
     return bytes([resolution.tag]) + resolution.serialize()
 
 
@@ -212,10 +206,11 @@ def _deserialize_resolution(reader: ByteReader):
 class WireResolution:
     """A resolution held as its exact wire bytes, tag byte first.
 
-    What a segment proof decoded with ``memo=`` carries per height:
-    ``wire`` is what the verifier's memo is keyed on, and
-    :meth:`decoded` is the resolution object — built at decode time on a
-    memo miss, and only on first use after a hit.
+    What the prover answers with (``wire`` is its memo's entry), and
+    what a segment proof decoded with ``memo=`` carries per height
+    (``wire`` is what the verifier's memo is keyed on).  :meth:`decoded`
+    is the resolution object — built at decode time on a verifier memo
+    miss, and otherwise only on first use.
     """
 
     __slots__ = ("wire", "_decoded")
@@ -235,12 +230,10 @@ class WireResolution:
             reader.finish()
         return self._decoded
 
-    def serialize(self) -> bytes:
-        return self.wire[1:]
 
-
-#: What a :class:`SegmentProof` may carry per failed height.
-_SEGMENT_RESOLUTION = BlockResolution + (WireResolution,)
+#: What a :class:`SegmentProof` or :class:`PerBlockAnswer` may carry as
+#: a resolution.
+_RESOLUTION_TYPES = BlockResolution + (WireResolution,)
 
 
 def _read_wire_resolution(
@@ -271,7 +264,9 @@ class PerBlockAnswer:
     __slots__ = ("bf", "resolution")
 
     def __init__(self, bf: Optional[BloomFilter], resolution) -> None:
-        if resolution is not None and not isinstance(resolution, BlockResolution):
+        if resolution is not None and not isinstance(
+            resolution, _RESOLUTION_TYPES
+        ):
             raise ProofError(f"bad resolution type {type(resolution).__name__}")
         self.bf = bf
         self.resolution = resolution
@@ -331,7 +326,7 @@ class SegmentProof:
                 raise ProofError(
                     f"resolution height {height} outside [{start},{end}]"
                 )
-            if not isinstance(resolution, _SEGMENT_RESOLUTION):
+            if not isinstance(resolution, _RESOLUTION_TYPES):
                 raise ProofError(
                     f"bad resolution type {type(resolution).__name__}"
                 )

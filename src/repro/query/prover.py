@@ -22,10 +22,14 @@ equivalence tests pin both to byte-identical output):
    through every tree descent and per-block check;
 3. **Inverted address index** — block-level resolutions fetch the
    involved transactions from :class:`repro.query.index.AddressIndex`
-   instead of scanning every transaction in the block, and resolved
-   blocks are memoized on the system (blocks are immutable, so a
+   instead of scanning every transaction in the block, and each
+   resolved ``(address, height)`` is memoized on the system once, as
+   the tag-first wire bytes it ships as (blocks are immutable, so a
    resolution never goes stale; ``BuiltSystem.clear_query_caches``
-   drops the memo for cold-cache measurements).
+   drops the memo for cold-cache measurements).  An answer carries a
+   fresh :class:`~repro.query.fragments.WireResolution` over those
+   bytes, so a warm resolution costs no encode at all; likewise every
+   BMT node holds its filter as the bytes a multiproof ships.
 
 Dishonest behaviours for the security tests live in
 :mod:`repro.query.adversary`, not here.
@@ -50,6 +54,8 @@ from repro.query.fragments import (
     PerBlockAnswer,
     SegmentProof,
     TxWithBranch,
+    WireResolution,
+    _serialize_resolution,
 )
 from repro.query.result import QueryResult
 
@@ -111,16 +117,13 @@ def _answer_with_segments(
         cached = system.caches.segments.get(seg_key)
         if cached is None:
             tree = system.forest.tree(start, end)
-            positions = cache.positions(
-                tree.root.bf.num_hashes, tree.root.bf.size_bits
-            )
             # Single pass: the in-range failed-leaf heights fall out of
             # the multiproof's own descent, left to right.
             failed: List[int] = []
             frontier = tree.frontier(
                 item,
                 query_range=clipped,
-                positions=positions,
+                positions=cache.positions(config.num_hashes, config.bf_bits),
                 failed_heights=failed,
             )
             cached = (frontier, failed)
@@ -135,7 +138,7 @@ def _answer_with_segments(
                 system.caches.segments[seg_key] = cached
         frontier, failed = cached
         multiproof = BmtMultiProof.encode(frontier, config.bf_bytes)
-        resolutions: Dict[int, object] = {
+        resolutions: Dict[int, WireResolution] = {
             height: _resolve_block(system, height, address)
             for height in failed
         }
@@ -182,23 +185,27 @@ def _answer_per_block(
 # block-level resolutions
 
 
-def _resolve_block(system: BuiltSystem, height: int, address: str):
+def _resolve_block(
+    system: BuiltSystem, height: int, address: str
+) -> WireResolution:
     """Evidence for a block whose filter check failed for ``address``.
 
-    Resolutions are memoized per ``(address, height)``: blocks are
-    immutable once appended, so the evidence for a block never changes.
-    Repeat queries for hot addresses (and overlapping range queries) hit
-    the memo instead of re-proving.  Every call returns a fresh top-level
-    resolution object (``copy()``) so callers that tamper with their
-    answer — the adversary tests do — cannot poison the memo.
+    Resolutions are memoized per ``(address, height)`` as their tag-first
+    wire bytes: blocks are immutable once appended, so the evidence for
+    a block never changes.  Repeat queries for hot addresses (and
+    overlapping range queries) hit the memo instead of re-proving and
+    re-encoding.  Every call returns a fresh :class:`WireResolution`
+    over immutable bytes, so nothing a caller does to its answer can
+    reach the memo (the adversary decodes its own copy to tamper with,
+    :func:`repro.query.adversary.materialize`).
     """
-    cache = system.caches.resolutions
+    caches = system.caches
     key = (address, height)
-    resolution = cache.get(key)
-    if resolution is None:
-        resolution = _build_resolution(system, height, address)
-        cache[key] = resolution
-    return resolution.copy()
+    wire = caches.resolution_wire(key)
+    if wire is None:
+        wire = _serialize_resolution(_build_resolution(system, height, address))
+        caches.remember_resolution(key, wire)
+    return WireResolution(wire)
 
 
 def _build_resolution(system: BuiltSystem, height: int, address: str):

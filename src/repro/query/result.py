@@ -20,6 +20,7 @@ from repro.query.fragments import (
     IntegralBlockResolution,
     PerBlockAnswer,
     SegmentProof,
+    WireResolution,
 )
 
 if TYPE_CHECKING:
@@ -256,6 +257,10 @@ class QueryResult:
 
 
 def _account_resolution(resolution, sizes: SizeBreakdown) -> None:
+    # A wire resolution (the prover's answers carry them) is accounted
+    # by its decoded components: the same bytes, so the same split.
+    if isinstance(resolution, WireResolution):
+        resolution = resolution.decoded()
     if isinstance(resolution, ExistenceResolution):
         sizes.smt_bytes += resolution.smt_bytes()
         sizes.mt_bytes += resolution.mt_bytes()

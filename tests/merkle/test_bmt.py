@@ -22,6 +22,11 @@ def bf_of(items):
     return BloomFilter.from_items(items, M_BITS, K)
 
 
+def filter_of(node):
+    """A built node's filter bytes as a Bloom filter."""
+    return BloomFilter.from_bytes(node.raw, K)
+
+
 def node_offsets(proof):
     """``(offset, tag, hashes, filter)`` per node of the proof's image."""
     offset = 0
@@ -60,11 +65,21 @@ def tree8():
 class TestConstruction:
     def test_eq2_eq3_node_relations(self, tree8):
         root = tree8.root
-        assert root.bf == (root.left.bf | root.right.bf)
-        assert root.hash == node_hash(root.left.hash, root.right.hash, root.bf)
+        assert filter_of(root) == filter_of(root.left) | filter_of(root.right)
+        assert root.hash == node_hash(root.left.hash, root.right.hash, root.raw)
         leaf = root.left.left.left
         assert leaf.layer == 0
-        assert leaf.hash == leaf_hash(leaf.bf)
+        assert leaf.hash == leaf_hash(leaf.raw)
+
+    def test_nodes_hold_the_filter_bytes_a_proof_ships(self, tree8):
+        assert len(tree8.root.raw) == M_BITS // 8 == tree8.bf_bytes
+        assert tree8.root.left.left.left.raw == bf_of([b"a0", b"a1"]).to_bytes()
+        proof = tree8.multiproof(b"hot")
+        shipped = [bf for _tag, _hashes, bf in proof.nodes() if bf is not None]
+        for _tag, node in tree8.frontier(b"hot"):
+            if node.raw in shipped:
+                shipped.remove(node.raw)
+        assert shipped == []
 
     def test_ranges(self, tree8):
         assert (tree8.start, tree8.end) == (1, 8)
@@ -74,7 +89,7 @@ class TestConstruction:
     def test_single_leaf_tree(self):
         tree = BmtTree.build(make_leaves(5, [[b"x"]]))
         assert tree.depth == 0
-        assert tree.root.hash == leaf_hash(tree.root.bf)
+        assert tree.root.hash == leaf_hash(tree.root.raw)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +106,7 @@ class TestConstruction:
 
     def test_root_contains_every_block_item(self, tree8):
         for item in (b"a0", b"hot", b"g0"):
-            assert item in tree8.root.bf
+            assert item in filter_of(tree8.root)
 
 
 class TestEndpointDiscovery:
@@ -122,7 +137,7 @@ class TestEndpointDiscovery:
     def test_clean_endpoints_witness_inexistence(self, tree8):
         for endpoint in tree8.find_endpoints(b"hot"):
             if endpoint.kind is EndpointKind.CLEAN:
-                assert b"hot" not in endpoint.node.bf
+                assert b"hot" not in filter_of(endpoint.node)
 
 
 class TestMultiProof:
@@ -318,47 +333,6 @@ class TestRestrictedMultiProof:
         proof = rewritten(proof, stubs[0] + 1, proof.serialize()[stubs[0] + 1] ^ 1)
         with pytest.raises(VerificationError):
             self.verify(tree8, proof, b"hot", (5, 8))
-
-
-class TestSingleBranch:
-    def test_clean_endpoint_branch_verifies(self, tree8):
-        item = b"absent-item"
-        endpoints = tree8.find_endpoints(item)
-        clean = [e for e in endpoints if e.kind is EndpointKind.CLEAN]
-        assert clean, "expected at least one clean endpoint"
-        for endpoint in clean:
-            branch = tree8.branch(endpoint)
-            offset, span = branch.verify_inexistence(tree8.root.hash, item)
-            assert tree8.start + offset == endpoint.node.start
-            assert span == endpoint.node.num_blocks
-
-    def test_branch_root_matches_tree(self, tree8):
-        endpoint = tree8.find_endpoints(b"absent-item")[0]
-        branch = tree8.branch(endpoint)
-        root_hash, root_bf = branch.compute_root()
-        assert root_hash == tree8.root.hash
-        assert root_bf == tree8.root.bf
-
-    def test_branch_rejects_present_item(self, tree8):
-        # A clean endpoint for one item cannot prove inexistence of an
-        # item whose positions are all set there.
-        endpoints = tree8.find_endpoints(b"a0")
-        failed = [e for e in endpoints if e.kind is EndpointKind.LEAF_FAILED]
-        leaf_endpoint = failed[0]
-        branch = tree8.branch(leaf_endpoint)
-        with pytest.raises(VerificationError):
-            branch.verify_inexistence(tree8.root.hash, b"a0")
-
-    def test_branch_serialization_roundtrip(self, tree8):
-        from repro.merkle.bmt import BmtBranch
-
-        endpoint = tree8.find_endpoints(b"absent-item")[0]
-        branch = tree8.branch(endpoint)
-        reader = ByteReader(branch.serialize())
-        restored = BmtBranch.deserialize(reader, M_BITS, K)
-        reader.finish()
-        assert restored.serialize() == branch.serialize()
-        assert branch.size_bytes() == len(branch.serialize())
 
 
 class TestForest:

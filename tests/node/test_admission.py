@@ -432,6 +432,15 @@ class TestMetrics:
         assert parsed["lvq_requests_inline_hits_total"] == 1.0
         assert parsed["lvq_requests_completed_total"] == 2.0
 
+    def test_prover_memo_bytes_exported(self, system, workload):
+        with QueryServer(FullNode(system), num_workers=2) as server:
+            server.query(workload.probe_addresses["Addr6"])
+            memo = server.stats()["caches"]["resolutions"]
+            parsed = parse_metrics(render_metrics(server=server))
+        key = 'lvq_cache_counter{cache="resolutions",counter="%s"}'
+        assert parsed[key % "bytes"] == memo["bytes"] > 0
+        assert parsed[key % "max_bytes"] == memo["max_bytes"]
+
     def test_http_endpoint_scrapes(self, system, workload):
         with QueryServer(FullNode(system), num_workers=2) as server:
             with MetricsServer(port=0, server=server) as metrics:

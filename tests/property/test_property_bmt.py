@@ -99,7 +99,7 @@ class TestBmtProperties:
         mutated = [list(items) for items in blocks]
         mutated[0] = mutated[0] + [b"extra-item"]
         other = build_tree(mutated)
-        if other.root.bf != tree.root.bf:
+        if other.root.raw != tree.root.raw:
             assert other.root.hash != tree.root.hash
 
     @given(blocks=block_sets, probe=st.binary(min_size=1, max_size=6))

@@ -19,6 +19,7 @@ from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
 from repro.errors import EncodingError, ProofError, ReproError
 from repro.node.light_node import LightNode
 from repro.node.transport import compress_frame
+from repro.query.adversary import materialize
 from repro.query.aggregate import (
     batch_of_result,
     decode_aggregated_batch,
@@ -229,7 +230,7 @@ def test_evidence_for_another_address_in_one_batch_misses_the_memo(
     memo = warm_memo(
         lvq_system, addresses, encode_aggregated_batch(batch, config)
     )
-    segments = batch.per_address_segments
+    segments = materialize(batch).per_address_segments
     cases = 0
     for x, x_segments in enumerate(segments):
         for y, y_segments in enumerate(segments):

@@ -27,6 +27,7 @@ from repro.node.messages import QueryRequest, QueryResponse
 from repro.query.batch import answer_batch_query
 from repro.query.builder import build_system
 from repro.query.cache import (
+    RESOLUTION_PIECE_BYTES,
     LRUCache,
     QueryCaches,
     ResponseCache,
@@ -34,7 +35,7 @@ from repro.query.cache import (
     SingleFlight,
 )
 from repro.query.config import SystemConfig
-from repro.query.prover import answer_query
+from repro.query.prover import _resolve_block, answer_query
 from repro.workload.generator import WorkloadParams, generate_workload
 
 
@@ -560,13 +561,38 @@ class TestBuiltSystemCacheWiring:
     def test_memos_are_bounded_lrus(self, serving_setup):
         workload, config, _system = serving_setup
         system = build_system(
-            workload.bodies[:17], config, caches=QueryCaches(4, 2)
+            workload.bodies[:17], config, caches=QueryCaches(3_000, 2)
         )
         for address in workload.probe_addresses.values():
             answer_query(system, address)
-        assert len(system.caches.resolutions) <= 4
         assert len(system.caches.segments) <= 2
         assert system.caches.stats()["segments"]["max_entries"] == 2
+
+    def test_resolution_memo_holds_wire_bytes_within_its_byte_bound(
+        self, serving_setup
+    ):
+        workload, config, _system = serving_setup
+        system = build_system(
+            workload.bodies[:17], config, caches=QueryCaches(1_000, 2)
+        )
+        for address in workload.probe_addresses.values():
+            for _ in range(2):
+                answer_query(system, address)
+                report = system.caches.stats()["resolutions"]
+                assert report["bytes"] <= report["max_bytes"] == 1_000
+        memo = system.caches.resolutions
+        pieces = [memo.get(key) for key in memo.keys()]
+        assert all(
+            0 < len(piece) <= RESOLUTION_PIECE_BYTES
+            for entry in pieces
+            for piece in entry
+        )
+        stored = [b"".join(entry) for entry in pieces]
+        assert stored and report["bytes"] == sum(map(len, stored))
+        for (address, height), wire in zip(memo.keys(), stored):
+            assert _resolve_block(system, height, address).wire == wire
+        assert report["evictions"] > 0
+        assert "max_entries" not in report
 
     def test_clear_query_caches_still_works(self, serving_setup):
         workload, config, _system = serving_setup

@@ -6,12 +6,14 @@ the pre-fast-path reference in :mod:`repro.query.naive` — same bytes on
 the wire for every system kind, address shape, and query range.
 """
 
-import pytest
-
+from repro.query.adversary import materialize
 from repro.query.batch import answer_batch_query
+from repro.query.builder import build_system
+from repro.query.fragments import ExistenceResolution, WireResolution
 from repro.query.naive import answer_batch_query_naive, answer_query_naive
 from repro.query.prover import answer_query
 from repro.query.verifier import verify_result
+from repro.workload.generator import WorkloadParams, generate_workload
 
 
 def _addresses_under_test(workload):
@@ -68,6 +70,61 @@ class TestSingleQueryEquivalence:
             ] == [(h, tx.txid()) for h, tx in truth]
 
 
+def _assert_matches_oracle(system, addresses, ranges):
+    """Bytes and the Fig 12/14 size breakdown, field by field, equal the
+    naive oracle's for every address and range."""
+    config = system.config
+    for address in addresses:
+        for first, last in ranges:
+            fast = answer_query(system, address, first, last)
+            naive = answer_query_naive(system, address, first, last)
+            assert fast.serialize(config) == naive.serialize(config)
+            assert fast.breakdown(config).as_dict() == (
+                naive.breakdown(config).as_dict()
+            )
+
+
+class TestWireMemoEquivalence:
+    """The prover's resolution memo holds wire bytes; cold, warm and
+    after an equal-length reorg its answers are the oracle's."""
+
+    def test_cold_then_warm(self, any_system, workload):
+        tip = any_system.tip_height
+        ranges = [(1, tip), (2, tip - 3)]
+        any_system.clear_query_caches()
+        addresses = _addresses_under_test(workload)
+        _assert_matches_oracle(any_system, addresses, ranges)
+        cold = any_system.caches.stats()["resolutions"]
+        assert cold["bytes"] > 0
+        _assert_matches_oracle(any_system, addresses, ranges)
+        warm = any_system.caches.stats()["resolutions"]
+        assert warm["misses"] == cold["misses"]
+        assert warm["hits"] > cold["hits"]
+
+    def test_after_equal_length_reorg(self, any_system, workload):
+        params = workload.params
+        system = build_system(workload.bodies, any_system.config)
+        tip = system.tip_height
+        addresses = _addresses_under_test(workload)
+        ranges = [(1, tip), (tip - 12, tip)]
+        _assert_matches_oracle(system, addresses, ranges)
+        fork = tip - 9
+        assert any(key[1] > fork for key in system.caches.resolutions.keys())
+        alt = generate_workload(
+            WorkloadParams(
+                num_blocks=params.num_blocks,
+                txs_per_block=params.txs_per_block,
+                seed=params.seed + 1,
+                probes=params.probes,
+            )
+        )
+        system.reorg(fork, alt.bodies[fork + 1 :])
+        assert system.tip_height == tip
+        assert all(key[1] <= fork for key in system.caches.resolutions.keys())
+        for _pass in ("refill", "warm"):
+            _assert_matches_oracle(system, addresses, ranges)
+
+
 class TestBatchEquivalence:
     def test_batch_byte_identical(self, any_system, workload):
         config = any_system.config
@@ -93,10 +150,18 @@ class TestTamperedAnswersDoNotPoisonTheMemo:
         lvq_system.clear_query_caches()
         reference = answer_query(lvq_system, address).serialize(config)
 
-        tampered = answer_query(lvq_system, address)
-        for segment in tampered.segments:
-            for resolution in segment.resolutions.values():
-                if hasattr(resolution, "entries") and resolution.entries:
-                    resolution.entries.pop()
+        # Tamper with a materialized copy, and with the objects an
+        # answer's own wire resolutions decode to.
+        answer = answer_query(lvq_system, address)
+        tampered = 0
+        for result in (materialize(answer), answer):
+            for segment in result.segments:
+                for resolution in segment.resolutions.values():
+                    if isinstance(resolution, WireResolution):
+                        resolution = resolution.decoded()
+                    if isinstance(resolution, ExistenceResolution):
+                        resolution.entries.pop()
+                        tampered += 1
+        assert tampered >= 2
 
         assert answer_query(lvq_system, address).serialize(config) == reference

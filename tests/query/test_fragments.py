@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.encoding import ByteReader
 from repro.errors import EncodingError, ProofError
 from repro.merkle.bmt import BmtMultiProof
+from repro.query.adversary import materialize
 from repro.query.config import SystemConfig
 from repro.query.fragments import (
     ExistenceResolution,
@@ -18,6 +19,7 @@ from repro.query.prover import answer_query
 
 
 def _first_of(result, cls):
+    result = materialize(result)
     if result.segments is not None:
         pools = (seg.resolutions.values() for seg in result.segments)
     else:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain.segments import covering_spans
 from repro.errors import QueryError
+from repro.query.adversary import materialize
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.fragments import (
@@ -18,7 +19,7 @@ from repro.workload.profiles import ProbeProfile
 
 class TestSegmentAnswers:
     def test_segments_match_covering_spans(self, lvq_system, probe_addresses):
-        result = answer_query(lvq_system, probe_addresses["Addr4"])
+        result = materialize(answer_query(lvq_system, probe_addresses["Addr4"]))
         expected = covering_spans(
             lvq_system.tip_height, lvq_system.config.segment_len
         )
@@ -27,7 +28,7 @@ class TestSegmentAnswers:
     def test_empty_address_has_no_resolutions_without_fpm(
         self, lvq_system, probe_addresses
     ):
-        result = answer_query(lvq_system, probe_addresses["Addr1"])
+        result = materialize(answer_query(lvq_system, probe_addresses["Addr1"]))
         # Addr1 never appears; resolutions only exist for (rare) FPMs,
         # and each must be an SMT inexistence pair, never an existence.
         for segment in result.segments:
@@ -39,7 +40,7 @@ class TestSegmentAnswers:
     ):
         address = probe_addresses["Addr5"]
         truth_heights = {h for h, _ in workload.history_of(address)}
-        result = answer_query(lvq_system, address)
+        result = materialize(answer_query(lvq_system, address))
         resolved = set()
         for segment in result.segments:
             for height, resolution in segment.resolutions.items():
@@ -52,7 +53,7 @@ class TestSegmentAnswers:
     ):
         address = probe_addresses["Addr3"]
         truth = workload.history_of(address)
-        result = answer_query(lvq_system, address)
+        result = materialize(answer_query(lvq_system, address))
         shipped = []
         for segment in result.segments:
             for height, resolution in sorted(segment.resolutions.items()):
@@ -72,7 +73,7 @@ class TestSegmentAnswers:
     def test_no_smt_system_ships_integral_blocks(
         self, lvq_no_smt_system, probe_addresses
     ):
-        result = answer_query(lvq_no_smt_system, probe_addresses["Addr6"])
+        result = materialize(answer_query(lvq_no_smt_system, probe_addresses["Addr6"]))
         kinds = {
             type(resolution)
             for segment in result.segments
@@ -83,24 +84,24 @@ class TestSegmentAnswers:
 
 class TestPerBlockAnswers:
     def test_one_answer_per_block(self, strawman_system, probe_addresses):
-        result = answer_query(strawman_system, probe_addresses["Addr2"])
+        result = materialize(answer_query(strawman_system, probe_addresses["Addr2"]))
         assert len(result.blocks) == strawman_system.tip_height
 
     def test_strawman_ships_filters(self, strawman_system, probe_addresses):
-        result = answer_query(strawman_system, probe_addresses["Addr1"])
+        result = materialize(answer_query(strawman_system, probe_addresses["Addr1"]))
         assert all(answer.bf is not None for answer in result.blocks)
 
     def test_header_bf_variant_ships_no_filters(self, workload, probe_addresses):
         system = build_system(
             workload.bodies, SystemConfig.strawman_header_bf(bf_bytes=96)
         )
-        result = answer_query(system, probe_addresses["Addr1"])
+        result = materialize(answer_query(system, probe_addresses["Addr1"]))
         assert all(answer.bf is None for answer in result.blocks)
 
     def test_strawman_existence_has_no_smt_branch(
         self, strawman_system, probe_addresses
     ):
-        result = answer_query(strawman_system, probe_addresses["Addr6"])
+        result = materialize(answer_query(strawman_system, probe_addresses["Addr6"]))
         existences = [
             a.resolution
             for a in result.blocks
@@ -112,7 +113,7 @@ class TestPerBlockAnswers:
     def test_lvq_no_bmt_existence_has_smt_branch(
         self, lvq_no_bmt_system, probe_addresses
     ):
-        result = answer_query(lvq_no_bmt_system, probe_addresses["Addr6"])
+        result = materialize(answer_query(lvq_no_bmt_system, probe_addresses["Addr6"]))
         existences = [
             a.resolution
             for a in result.blocks
@@ -126,7 +127,7 @@ class TestPerBlockAnswers:
     ):
         address = probe_addresses["Addr2"]
         truth_heights = {h for h, _ in workload.history_of(address)}
-        result = answer_query(strawman_system, address)
+        result = materialize(answer_query(strawman_system, address))
         for offset, answer in enumerate(result.blocks):
             height = offset + 1
             if height in truth_heights:
@@ -148,7 +149,7 @@ class TestForcedFpm:
             workload.bodies,
             SystemConfig.lvq(bf_bytes=8, segment_len=8, num_hashes=2),
         )
-        result = answer_query(system, workload.probe_addresses["Ghost"])
+        result = materialize(answer_query(system, workload.probe_addresses["Ghost"]))
         resolutions = [
             resolution
             for segment in result.segments

@@ -6,7 +6,6 @@ a multiproof's bytes, and everything in between, with the same exception
 type and text.  The memo must also stay within its bound.
 """
 
-import copy
 import sys
 import threading
 
@@ -20,7 +19,7 @@ from repro.errors import EncodingError, ReproError
 from repro.merkle.bmt import BmtMultiProof
 from repro.node.light_node import LightNode
 from repro.query import memo as memo_module
-from repro.query.adversary import ALL_ATTACKS
+from repro.query.adversary import ALL_ATTACKS, materialize
 from repro.query.memo import REPLAY_MEMO_ENTRIES, VerifierMemo
 from repro.query.prover import answer_query
 from repro.query.verifier import _bmt_root_of, verify_result
@@ -58,7 +57,7 @@ def test_every_attack_is_rejected_identically_warm_and_cold(
     applied = set()
     for name, attack in sorted(ALL_ATTACKS.items()):
         for address, span, result in answers:
-            attacked = attack(copy.deepcopy(result))
+            attacked = attack(materialize(result))
             if attacked.serialize(config) == result.serialize(config):
                 continue
             applied.add(name)

@@ -24,7 +24,7 @@ from repro.errors import EncodingError, ProofError, ReproError
 from repro.node.light_node import LightNode
 from repro.node.messages import QueryResponse
 from repro.query import memo as memo_module
-from repro.query.adversary import ALL_ATTACKS
+from repro.query.adversary import ALL_ATTACKS, materialize
 from repro.query.fragments import (
     ExistenceResolution,
     WireResolution,
@@ -63,7 +63,7 @@ def honest_frames(system, addresses):
             first, last = span or (1, system.tip_height)
             result = answer_query(system, address, first, last)
             frame = QueryResponse(result).serialize(system.config)
-            yield address, (first, last), result, frame
+            yield address, (first, last), materialize(result), frame
 
 
 def warm_light(system, answers):
@@ -358,7 +358,7 @@ def test_a_hit_decodes_nothing_and_a_decode_without_memo_is_unchanged(
 def test_rejected_evidence_is_never_stored(lvq_system, probe_addresses):
     config = lvq_system.config
     address = probe_addresses["Addr6"]
-    honest = answer_query(lvq_system, address)
+    honest = materialize(answer_query(lvq_system, address))
     attacked = ALL_ATTACKS["forge_transaction_value"](copy.deepcopy(honest))
     forged = QueryResponse(attacked).serialize(config)
     light = LightNode(lvq_system.headers(), config)
@@ -426,7 +426,7 @@ def test_the_same_bytes_under_another_root_are_no_hit(
     kept in the entry can send that resolution back to the cold path."""
     config = lvq_system.config
     address = probe_addresses["Addr6"]
-    result = answer_query(lvq_system, address)
+    result = materialize(answer_query(lvq_system, address))
     frame = QueryResponse(result).serialize(config)
     anchors = {segment.anchor for segment in result.segments}
     height = next(

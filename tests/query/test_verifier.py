@@ -8,6 +8,7 @@ from repro.errors import (
     CorrectnessError,
     VerificationError,
 )
+from repro.query.adversary import materialize
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.fragments import (
@@ -98,7 +99,7 @@ class TestSegmentTampering:
             verify_result(result, lvq_system.headers(), lvq_system.config)
 
     def test_missing_resolution(self, lvq_system, probe_addresses):
-        result = answer_query(lvq_system, probe_addresses["Addr6"])
+        result = materialize(answer_query(lvq_system, probe_addresses["Addr6"]))
         for segment in result.segments:
             if segment.resolutions:
                 del segment.resolutions[sorted(segment.resolutions)[0]]
@@ -117,7 +118,7 @@ class TestSegmentTampering:
 class TestExistenceTampering:
     def _result_with_existence(self, system, workload, probe_addresses):
         address = probe_addresses["Addr5"]
-        return address, answer_query(system, address)
+        return address, materialize(answer_query(system, address))
 
     def test_undercount_rejected(self, workload, lvq_system, probe_addresses):
         address, result = self._result_with_existence(
@@ -157,8 +158,8 @@ class TestExistenceTampering:
     ):
         """A (tx, branch) pair from another address's history must fail."""
         address = probe_addresses["Addr5"]
-        result = answer_query(lvq_system, address)
-        other = answer_query(lvq_system, probe_addresses["Addr6"])
+        result = materialize(answer_query(lvq_system, address))
+        other = materialize(answer_query(lvq_system, probe_addresses["Addr6"]))
         donor = None
         for segment in other.segments:
             for resolution in segment.resolutions.values():
@@ -184,7 +185,7 @@ class TestSystemDiscipline:
         """LVQ-no-SMT must ship IBs; converting one to Merkle branches
         (which cannot prove completeness) is rejected."""
         address = probe_addresses["Addr5"]
-        result = answer_query(lvq_no_smt_system, address)
+        result = materialize(answer_query(lvq_no_smt_system, address))
         system = lvq_no_smt_system
         for segment in result.segments:
             for height, resolution in segment.resolutions.items():
@@ -212,7 +213,7 @@ class TestSystemDiscipline:
         self, workload, lvq_system, probe_addresses
     ):
         address = probe_addresses["Addr5"]
-        result = answer_query(lvq_system, address)
+        result = materialize(answer_query(lvq_system, address))
         for segment in result.segments:
             for height in list(segment.resolutions):
                 block = lvq_system.chain.block_at(height)
@@ -231,7 +232,7 @@ class TestSystemDiscipline:
     ):
         """Claiming a present address is a false positive must fail."""
         address = probe_addresses["Addr5"]
-        result = answer_query(lvq_system, address)
+        result = materialize(answer_query(lvq_system, address))
         for segment in result.segments:
             for height, resolution in list(segment.resolutions.items()):
                 if isinstance(resolution, ExistenceResolution):
@@ -265,7 +266,7 @@ class TestIntegralBlockTampering:
             workload.bodies, SystemConfig.lvq_no_smt(bf_bytes=192, segment_len=16)
         )
         address = probe_addresses["Addr6"]
-        result = answer_query(system, address)
+        result = materialize(answer_query(system, address))
         from repro.crypto.encoding import write_varint
 
         for segment in result.segments:
