@@ -1,14 +1,17 @@
-"""Admission control for the query server: rate limits, fair
-scheduling, and watermark load shedding (DESIGN.md §11).
+"""Admission policy for the query server: rate limits, fair scheduling,
+and watermark load shedding (DESIGN.md §11).
 
-The worker pool of :class:`~repro.node.server.QueryServer` used to have
-one defense against a traffic burst — a typed rejection once its single
-FIFO queue filled — which means a Zipf burst or one greedy client
-collapses latency for *everyone* before the bound even trips.  This
-module is the traffic-management layer in front of the pool, three
-mechanisms composed in admission order:
+:class:`~repro.node.server.QueryServer` is the one queue between a
+socket and the prover; this module holds the policy pieces it applies,
+in admission order, under its one lock:
 
-1. **watermark load shedding** (:class:`WatermarkShedder`) — queue
+1. **per-client token buckets** (:class:`RateLimiter`) — each client
+   identity (connection peer, or the id a §11 hello frame declared)
+   draws from its own bucket; an empty bucket refuses with
+   :class:`~repro.errors.RateLimitedError` carrying the exact
+   ``retry_after`` at which the bucket refills.  One hot client runs
+   out of tokens; everyone else never notices.
+2. **watermark load shedding** (:class:`WatermarkShedder`) — queue
    depth is watched against three watermarks and degrades in stages:
    ``shed_batch`` refuses batch-class work, ``shed_low`` refuses
    everything but interactive queries, ``shed_all`` refuses anything
@@ -16,18 +19,15 @@ mechanisms composed in admission order:
    never reach admission).  Each transition emits one structured log
    line; hysteresis (exit below ``clear_fraction`` of the entry
    watermark) keeps the state machine from flapping at a boundary.
-2. **per-client token buckets** (:class:`RateLimiter`) — each client
-   identity (connection peer, or the id a §11 hello frame declared)
-   draws from its own bucket; an empty bucket refuses with
-   :class:`~repro.errors.RateLimitedError` carrying the exact
-   ``retry_after`` at which the bucket refills.  One hot client runs
-   out of tokens; everyone else never notices.
 3. **weighted-fair scheduling** (:class:`FairScheduler`) — admitted
    requests land in per-priority deques drained by deficit-weighted
    round-robin, so a backlog of batch work cannot starve interactive
    queries even below the watermarks.
 
-Everything refused here is refused with a typed
+:func:`classify` maps a frame to its priority class.  None of the
+classes here is thread-safe on its own.
+
+Everything refused is refused with a typed
 :class:`~repro.errors.BackpressureError` subclass carrying a
 ``retry_after`` hint — a *benign* signal the client-side health model
 treats as "busy, come back", never as malice (PROTOCOL.md §11.4).
@@ -36,17 +36,11 @@ treats as "busy, come back", never as malice (PROTOCOL.md §11.4).
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    QueryError,
-    RateLimitedError,
-    RequestShedError,
-    ServerOverloadedError,
-)
+from repro.errors import EncodingError, RateLimitedError
 from repro.node import messages as _messages
 
 logger = logging.getLogger("repro.node.admission")
@@ -76,24 +70,35 @@ _SHED_ALL_CLASSES = frozenset(
 )
 
 
+def classify_query(
+    payload: bytes,
+) -> "Tuple[int, Optional[_messages.QueryRequest]]":
+    """Priority class and decoded request of a single-query frame.
+
+    An open-ended query (``last_height == 0`` — "up to your tip", the
+    interactive wallet shape) is interactive, while an explicitly
+    bounded historical range is backfill-class — that is the frame a
+    subscription gap-heal or a catch-up re-sync sends, and it is always
+    retryable against the verified pull path.  A malformed frame is
+    interactive, with no request: the worker's handler rejects it, typed.
+    """
+    try:
+        request = _messages.QueryRequest.deserialize(payload)
+    except EncodingError:
+        return PRIO_INTERACTIVE, None
+    return (PRIO_BACKFILL if request.last_height else PRIO_INTERACTIVE), request
+
+
 def classify(payload: bytes) -> int:
     """Priority class of one request frame (scheduling hint only).
 
-    Tags map directly except single queries: an open-ended query
-    (``last_height == 0`` — "up to your tip", the interactive wallet
-    shape) is interactive, while an explicitly bounded historical range
-    is backfill-class — that is the frame a subscription gap-heal or a
-    catch-up re-sync sends, and it is always retryable against the
-    verified pull path.  Misclassification can only move a request
-    between latency classes; it never changes what verifies.
+    Tags map directly except single queries (see :func:`classify_query`).
+    Misclassification can only move a request between latency classes;
+    it never changes what verifies.
     """
     tag = payload[0]
     if tag == _messages._MSG_QUERY_REQUEST:
-        try:
-            request = _messages.QueryRequest.deserialize(payload)
-        except Exception:  # noqa: BLE001 - malformed: let the worker reject
-            return PRIO_INTERACTIVE
-        return PRIO_INTERACTIVE if request.last_height == 0 else PRIO_BACKFILL
+        return classify_query(payload)[0]
     if tag in (
         _messages._MSG_HEADERS_REQUEST,
         _messages._MSG_DELTA_HEADERS_REQUEST,
@@ -139,7 +144,7 @@ class RateLimiter:
     bounded at ``max_clients`` so a hostile peer cycling identities
     cannot grow server memory — evicting an idle identity merely hands
     it a fresh (full) bucket next time, which is the conservative
-    failure direction for a limiter.
+    failure direction for a limiter.  Not thread-safe on its own.
     """
 
     def __init__(
@@ -158,7 +163,6 @@ class RateLimiter:
         self.burst = burst if burst is not None else max(1.0, 2.0 * rate)
         self.max_clients = max_clients
         self._clock = clock
-        self._lock = threading.Lock()
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
         self.rejected = 0
         self.evicted_clients = 0
@@ -166,25 +170,23 @@ class RateLimiter:
     def check(self, client: str) -> None:
         """Admit or raise :class:`RateLimitedError` for one request."""
         now = self._clock()
-        with self._lock:
-            bucket = self._buckets.get(client)
-            if bucket is None:
-                bucket = TokenBucket(self.rate, self.burst, now)
-                self._buckets[client] = bucket
-                if len(self._buckets) > self.max_clients:
-                    self._buckets.popitem(last=False)
-                    self.evicted_clients += 1
-            else:
-                self._buckets.move_to_end(client)
-            ok, retry_after = bucket.take(now)
-            if ok:
-                return
-            self.rejected += 1
+        bucket = self._buckets.get(client)
+        if bucket is None:
+            bucket = TokenBucket(self.rate, self.burst, now)
+            self._buckets[client] = bucket
+            if len(self._buckets) > self.max_clients:
+                self._buckets.popitem(last=False)
+                self.evicted_clients += 1
+        else:
+            self._buckets.move_to_end(client)
+        ok, retry_after = bucket.take(now)
+        if ok:
+            return
+        self.rejected += 1
         raise RateLimitedError(client, retry_after=retry_after)
 
     def clients(self) -> int:
-        with self._lock:
-            return len(self._buckets)
+        return len(self._buckets)
 
 
 # -- watermark state machine -------------------------------------------------
@@ -205,7 +207,7 @@ class WatermarkShedder:
     only once depth falls below ``clear_fraction`` of its entry
     watermark — the hysteresis that keeps a queue oscillating around a
     boundary from emitting a transition per request.  Not thread-safe on
-    its own; the admission controller calls it under its queue lock.
+    its own.
     """
 
     def __init__(
@@ -290,7 +292,7 @@ class FairScheduler:
     credit.  Over any busy interval class *i* receives ``weights[i]``
     of every ``sum(weights)`` dequeues — batch backlog can delay an
     interactive query by at most one round, never starve it.  Not
-    thread-safe on its own (the controller locks).
+    thread-safe on its own.
     """
 
     def __init__(self, weights: Sequence[int] = DEFAULT_WEIGHTS) -> None:
@@ -338,244 +340,7 @@ class FairScheduler:
         return items
 
 
-# -- the controller ----------------------------------------------------------
-
-
-class AdmissionStats:
-    """Counters exported by :meth:`AdmissionController.stats`."""
-
-    __slots__ = (
-        "admitted",
-        "admitted_by_class",
-        "completed_by_class",
-        "shed",
-        "shed_by_class",
-        "ratelimited",
-        "queue_full",
-    )
-
-    def __init__(self) -> None:
-        self.admitted = 0
-        self.admitted_by_class = [0] * len(PRIORITY_NAMES)
-        self.completed_by_class = [0] * len(PRIORITY_NAMES)
-        self.shed = 0
-        self.shed_by_class = [0] * len(PRIORITY_NAMES)
-        self.ratelimited = 0
-        self.queue_full = 0
-
-
-class AdmissionController:
-    """Admission gate + fair queue in front of a worker pool.
-
-    ``max_pending`` bounds the *total* queued (all classes); the shed
-    watermarks default to 50% / 75% / 90% of it.  ``rate_limit`` is
-    requests/second per client identity (``None`` disables the
-    limiter).  ``submit`` either enqueues or raises a typed
-    :class:`~repro.errors.BackpressureError`; workers block in
-    :meth:`next_request` until work or :meth:`close`.
-
-    ``retry_after`` hints: a rate-limit refusal reports the exact
-    bucket refill time; shed/queue-full refusals report a depth-scaled
-    estimate (half the backlog at the observed service rate, clamped to
-    ``[0.05s, 5s]``) — honest "come back later", not a promise.
-    """
-
-    def __init__(
-        self,
-        max_pending: int = 64,
-        *,
-        rate_limit: Optional[float] = None,
-        rate_burst: Optional[float] = None,
-        weights: Sequence[int] = DEFAULT_WEIGHTS,
-        watermarks: Optional[Tuple[int, int, int]] = None,
-        clear_fraction: float = 0.75,
-        max_clients: int = 4096,
-        clock=time.monotonic,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"queue bound must be >= 1, got {max_pending}")
-        self.max_pending = max_pending
-        if watermarks is None:
-            low = max(1, int(max_pending * 0.50))
-            high = max(low + 1, int(max_pending * 0.75))
-            critical = max(high + 1, int(max_pending * 0.90))
-            watermarks = (low, high, critical)
-        self.shedder = WatermarkShedder(
-            watermarks, clear_fraction=clear_fraction
-        )
-        self.limiter = (
-            RateLimiter(
-                rate_limit, rate_burst, max_clients=max_clients, clock=clock
-            )
-            if rate_limit
-            else None
-        )
-        self.scheduler = FairScheduler(weights)
-        self.stats = AdmissionStats()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._closed = False
-        #: Decayed service-rate estimate (req/s) for retry-after hints.
-        self._service_rate = 50.0
-
-    # -- submission side ---------------------------------------------------
-
-    def _retry_hint(self, depth: int) -> float:
-        estimate = (depth * 0.5 + 1.0) / max(self._service_rate, 1.0)
-        return min(max(estimate, 0.05), 5.0)
-
-    def submit(self, payload: bytes, client: Optional[str] = None) -> object:
-        """Admit one frame; returns an opaque queue token for the caller
-        to attach its request object to — actually the priority class.
-
-        Raises, in checking order: :class:`RateLimitedError` (the
-        client spent its budget — cheapest check that protects everyone
-        else), :class:`RequestShedError` (the watermark state refuses
-        this class), :class:`ServerOverloadedError` (hard queue bound).
-        """
-        priority = classify(payload)
-        if self.limiter is not None and client is not None:
-            try:
-                self.limiter.check(client)
-            except RateLimitedError:
-                with self._lock:
-                    self.stats.ratelimited += 1
-                raise
-        with self._lock:
-            if self._closed:
-                raise QueryError("admission controller is closed")
-            depth = self.scheduler.depth()
-            self.shedder.observe(depth)
-            if self.shedder.refuses(priority):
-                self.stats.shed += 1
-                self.stats.shed_by_class[priority] += 1
-                self.shedder.shed_by_state[self.shedder.state] += 1
-                state = self.shedder.state
-                hint = self._retry_hint(depth)
-                logger.info(
-                    "request shed state=%s class=%s client=%s depth=%d "
-                    "retry_after=%.3f",
-                    state,
-                    PRIORITY_NAMES[priority],
-                    client,
-                    depth,
-                    hint,
-                )
-                raise RequestShedError(
-                    PRIORITY_NAMES[priority], state, retry_after=hint
-                )
-            if depth >= self.max_pending:
-                self.stats.queue_full += 1
-                raise ServerOverloadedError(
-                    depth, self.max_pending,
-                    retry_after=self._retry_hint(depth),
-                )
-            return priority
-
-    def enqueue(self, priority: int, item: object) -> int:
-        """Queue an admitted request; returns the new total depth."""
-        with self._lock:
-            if self._closed:
-                raise QueryError("admission controller is closed")
-            self.scheduler.push(priority, item)
-            self.stats.admitted += 1
-            self.stats.admitted_by_class[priority] += 1
-            depth = self.scheduler.depth()
-            # Escalate on the post-push depth, so state reflects the
-            # queue as it stands rather than lagging one submit behind.
-            self.shedder.observe(depth)
-            self._ready.notify()
-        return depth
-
-    def served_inline(self, priority: int) -> None:
-        """Count an admitted request answered without queueing (a
-        response-cache hit): admitted and completed in its class."""
-        with self._lock:
-            self.stats.admitted += 1
-            self.stats.admitted_by_class[priority] += 1
-            self.stats.completed_by_class[priority] += 1
-
-    # -- worker side -------------------------------------------------------
-
-    def next_request(self) -> Optional[Tuple[int, object]]:
-        """Block until a request (weighted-fair order) or close; None
-        means the controller closed and the worker should exit."""
-        with self._ready:
-            while True:
-                popped = self.scheduler.pop()
-                if popped is not None:
-                    # Track de-escalation as the queue drains, so the
-                    # shed state clears without waiting for a submit.
-                    self.shedder.observe(self.scheduler.depth())
-                    return popped
-                if self._closed:
-                    return None
-                self._ready.wait(timeout=0.1)
-
-    def request_done(self, priority: int, service_seconds: float) -> None:
-        """Worker completion hook: feeds the service-rate estimate."""
-        with self._lock:
-            self.stats.completed_by_class[priority] += 1
-            if service_seconds > 0:
-                observed = 1.0 / service_seconds
-                self._service_rate += 0.05 * (observed - self._service_rate)
-
-    # -- lifecycle / observability ----------------------------------------
-
-    def close(self) -> List[Tuple[int, object]]:
-        """Stop admitting; wake workers; return whatever was queued."""
-        with self._ready:
-            self._closed = True
-            pending = self.scheduler.drain()
-            self._ready.notify_all()
-        return pending
-
-    def depth(self) -> int:
-        with self._lock:
-            return self.scheduler.depth()
-
-    def state(self) -> str:
-        with self._lock:
-            return self.shedder.state
-
-    def stats_dict(self) -> "dict[str, object]":
-        with self._lock:
-            per_class = {
-                name: {
-                    "admitted": self.stats.admitted_by_class[index],
-                    "completed": self.stats.completed_by_class[index],
-                    "shed": self.stats.shed_by_class[index],
-                    "queued": len(self.scheduler._queues[index]),
-                }
-                for index, name in enumerate(PRIORITY_NAMES)
-            }
-            report: "dict[str, object]" = {
-                "state": self.shedder.state,
-                "transitions": self.shedder.transitions,
-                "watermarks": list(self.shedder.watermarks),
-                "max_pending": self.max_pending,
-                "queue_depth": self.scheduler.depth(),
-                "admitted": self.stats.admitted,
-                "shed": self.stats.shed,
-                "shed_by_state": dict(self.shedder.shed_by_state),
-                "ratelimited": self.stats.ratelimited,
-                "queue_full": self.stats.queue_full,
-                "classes": per_class,
-            }
-            if self.limiter is not None:
-                report["rate_limit"] = {
-                    "rate": self.limiter.rate,
-                    "burst": self.limiter.burst,
-                    "clients": self.limiter.clients(),
-                    "rejected": self.limiter.rejected,
-                    "evicted_clients": self.limiter.evicted_clients,
-                }
-        return report
-
-
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
     "DEFAULT_WEIGHTS",
     "FairScheduler",
     "PRIO_BACKFILL",
@@ -591,4 +356,5 @@ __all__ = [
     "TokenBucket",
     "WatermarkShedder",
     "classify",
+    "classify_query",
 ]

@@ -19,16 +19,19 @@ bytes.  For a pooled multi-worker front end, wrap the node in
 :class:`repro.node.server.QueryServer`.
 
 :meth:`FullNode.cached_response` is the pool's shortcut: the bytes
-``handle_query`` would return for a frame, if they are cached right now,
-found without blocking and without building.  The server calls it on the
-submitting thread after admission, so a hit never waits for a worker.
+``handle_query`` would return for an already-decoded
+:class:`~repro.node.messages.QueryRequest`, if they are cached right
+now, found without blocking and without building.  The server decodes
+the frame once on the submitting thread, classifies it, and calls this
+after admission with the same decoded request, so a hit never waits for
+a worker and never decodes twice.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from repro.errors import EncodingError, QueryError
+from repro.errors import QueryError
 from repro.node.messages import (
     HeadersRequest,
     HeadersResponse,
@@ -133,22 +136,18 @@ class FullNode:
                 self._response_key(request), build
             )
 
-    def cached_response(self, payload: bytes) -> "bytes | None":
-        """What :meth:`handle_query` would return for ``payload``, if it
-        is cached now; ``None`` sends the caller down the full path.
+    def cached_response(self, request: QueryRequest) -> "bytes | None":
+        """What :meth:`handle_query` would return for the frame that
+        decoded to ``request``, if it is cached now; ``None`` sends the
+        caller down the full path.
 
         Never blocks: the read lock is only tried, so a writer holding or
         waiting for it (an append, a reorg) makes this a miss rather than
         a wait, and the tip in the key is never one a writer is
-        switching.  A malformed frame is a miss too; ``handle_query``
-        raises its typed error.  A hit is counted by the cache, a miss
-        is left for ``handle_query`` to count.
+        switching.  A hit is counted by the cache, a miss is left for
+        ``handle_query`` to count.
         """
         if not self._inline_safe:
-            return None
-        try:
-            request = QueryRequest.deserialize(payload)
-        except EncodingError:
             return None
         lock = self.system.lock
         if not lock.try_acquire_read():

@@ -3,8 +3,8 @@
 Operating the admission-controlled server (DESIGN.md §11) without
 seeing its state means flying blind into a shed storm, so this module
 renders every counter the serving stack already tracks — queue depth
-and latency percentiles from :class:`~repro.node.server.QueryServer`,
-shed/ratelimit/watermark counters from the admission controller, cache
+and latency percentiles, shed/ratelimit/watermark counters from
+:class:`~repro.node.server.QueryServer`'s admission control, cache
 hit rates, outbox-eviction accounting from the subscription registry,
 frame and byte counters from :class:`~repro.node.net.NetServer` — in
 the Prometheus text exposition format (version 0.0.4), served by a tiny
@@ -115,7 +115,7 @@ def render_metrics(
         lines.add("in_flight", stats["in_flight"],
                   help_text="Requests currently executing.")
         for counter in ("submitted", "rejected", "completed", "failed",
-                        "reorgs"):
+                        "cancelled", "reorgs"):
             lines.add(f"requests_{counter}_total", stats[counter],
                       kind="counter",
                       help_text=f"Requests {counter} since start.")

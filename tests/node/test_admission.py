@@ -31,7 +31,6 @@ from repro.node.admission import (
     STATE_SHED_ALL,
     STATE_SHED_BATCH,
     STATE_SHED_LOW,
-    AdmissionController,
     FairScheduler,
     RateLimiter,
     TokenBucket,
@@ -53,6 +52,7 @@ from repro.query.config import SystemConfig
 from repro.workload.generator import WorkloadParams, generate_workload
 
 CONFIG = SystemConfig.lvq(bf_bytes=192, segment_len=8)
+_QUERY = QueryRequest("a").serialize()
 
 
 @pytest.fixture(scope="module")
@@ -256,80 +256,113 @@ class TestFairScheduler:
 
 
 class TestAdmissionController:
-    def test_rate_limit_checked_before_queue(self):
-        controller = AdmissionController(
-            max_pending=8, rate_limit=2.0, rate_burst=1.0,
-            clock=lambda: 0.0,
-        )
-        payload = QueryRequest("a").serialize()
-        controller.enqueue(controller.submit(payload, "hot"), "r1")
-        with pytest.raises(RateLimitedError):
-            controller.submit(payload, "hot")
-        assert controller.stats.ratelimited == 1
-        controller.submit(payload, "cold")  # other identities unharmed
-        controller.submit(payload, None)  # anonymous bypasses the limiter
+    """Admission as :class:`QueryServer` runs it: one gated worker holds
+    the first request, so everything submitted after it stays queued."""
 
-    def test_staged_shedding_by_priority(self):
-        controller = AdmissionController(max_pending=20, watermarks=(4, 8, 12))
-        interactive = QueryRequest("a").serialize()
+    @pytest.fixture()
+    def busy(self, system):
+        """``busy(**options)`` builds a one-worker server and parks its
+        worker on a first request; ``busy.gate`` lets it go."""
+        gate = threading.Event()
+        servers = []
+
+        def busy(**options):
+            server = QueryServer(
+                _GatedFullNode(system, gate), num_workers=1, **options
+            )
+            servers.append(server)
+            server.submit(_QUERY)
+            deadline = time.monotonic() + 5.0
+            while server.stats()["in_flight"] == 0:
+                assert time.monotonic() < deadline, "worker never started"
+                time.sleep(0.002)
+            return server
+
+        busy.gate = gate
+        yield busy
+        gate.set()
+        for server in servers:
+            server.close()
+
+    def test_rate_limit_checked_before_queue(self, busy):
+        server = busy(max_pending=8, rate_limit=0.01, rate_burst=1.0)
+        server.submit(_QUERY, "hot")
+        with pytest.raises(RateLimitedError):
+            server.submit(_QUERY, "hot")
+        server.submit(_QUERY, "cold")  # other identities unharmed
+        server.submit(_QUERY, None)  # anonymous bypasses the limiter
+        stats = server.stats()
+        assert stats["admission"]["ratelimited"] == 1
+        assert stats["queue_depth"] == 3  # the refusal never queued
+
+    def test_staged_shedding_by_priority(self, busy):
+        server = busy(max_pending=20, watermarks=(4, 8, 12))
         batch = BatchQueryRequest(["a"]).serialize()
         sync = HeadersRequest(0).serialize()
-        for index in range(4):
-            controller.enqueue(controller.submit(interactive), index)
+        for _ in range(4):
+            server.submit(_QUERY)
         # Depth 4 = shed_batch: batch refused, sync and interactive pass.
         with pytest.raises(RequestShedError) as info:
-            controller.submit(batch)
+            server.submit(batch)
         assert info.value.state == "shed_batch"
         assert info.value.retry_after > 0
-        for index in range(4):
-            controller.enqueue(controller.submit(sync), index)
+        for _ in range(4):
+            server.submit(sync)
         # Depth 8 = shed_low: sync refused too.
         with pytest.raises(RequestShedError) as info:
-            controller.submit(sync)
+            server.submit(sync)
         assert info.value.state == "shed_low"
-        for index in range(4):
-            controller.enqueue(controller.submit(interactive), index)
+        for _ in range(4):
+            server.submit(_QUERY)
         # Depth 12 = shed_all: even interactive refused.
         with pytest.raises(RequestShedError) as info:
-            controller.submit(interactive)
+            server.submit(_QUERY)
         assert info.value.state == "shed_all"
-        report = controller.stats_dict()
+        report = server.stats()["admission"]
         assert report["shed"] == 3
         assert report["shed_by_state"]["shed_batch"] >= 1
         assert report["shed_by_state"]["shed_all"] >= 1
+        assert [
+            report["classes"][name]["shed"]
+            for name in ("interactive", "sync", "batch")
+        ] == [1, 1, 1]
 
-    def test_hard_bound_overload_error(self):
-        controller = AdmissionController(
-            max_pending=3, watermarks=(10, 11, 12)
-        )
-        payload = QueryRequest("a").serialize()
-        for index in range(3):
-            controller.enqueue(controller.submit(payload), index)
+    def test_hard_bound_overload_error(self, busy):
+        server = busy(max_pending=3, watermarks=(10, 11, 12))
+        for _ in range(3):
+            server.submit(_QUERY)
         with pytest.raises(ServerOverloadedError) as info:
-            controller.submit(payload)
+            server.submit(_QUERY)
         assert info.value.max_pending == 3
         assert info.value.retry_after > 0
-        assert controller.stats.queue_full == 1
+        stats = server.stats()
+        assert stats["admission"]["queue_full"] == 1
+        assert stats["rejected"] == 1
 
-    def test_worker_pop_clears_shed_state(self):
-        controller = AdmissionController(max_pending=20, watermarks=(2, 8, 12))
-        payload = QueryRequest("a").serialize()
-        for index in range(2):
-            controller.enqueue(controller.submit(payload), index)
-        assert controller.state() == "shed_batch"
-        while controller.depth():
-            controller.next_request()
-        assert controller.state() == "normal"
+    def test_worker_pop_clears_shed_state(self, busy):
+        server = busy(max_pending=20, watermarks=(2, 8, 12))
+        for _ in range(2):
+            server.submit(_QUERY)
+        assert server.stats()["admission"]["state"] == "shed_batch"
+        busy.gate.set()
+        assert server.drain(timeout=10)
+        assert server.stats()["admission"]["state"] == "normal"
 
-    def test_close_rejects_and_returns_backlog(self):
-        controller = AdmissionController(max_pending=8)
-        payload = QueryRequest("a").serialize()
-        controller.enqueue(controller.submit(payload), "queued")
-        pending = controller.close()
-        assert [item for _p, item in pending] == ["queued"]
-        with pytest.raises(QueryError):
-            controller.submit(payload)
-        assert controller.next_request() is None  # workers told to exit
+    def test_close_rejects_and_returns_backlog(self, busy):
+        server = busy(max_pending=8)
+        queued = server.submit(_QUERY)
+        closer = threading.Thread(target=server.close, args=(False,))
+        closer.start()
+        with pytest.raises(QueryError, match="closed before request ran"):
+            queued.result(5)
+        with pytest.raises(QueryError, match="closed"):
+            server.submit(_QUERY)
+        busy.gate.set()  # the in-flight request still completes
+        closer.join(5)
+        assert not closer.is_alive()  # workers told to exit, and did
+        stats = server.stats()
+        assert (stats["completed"], stats["failed"]) == (1, 1)
+        assert stats["in_flight"] == stats["queue_depth"] == 0
 
 
 class TestQueryServerIntegration:
@@ -375,7 +408,7 @@ class TestQueryServerIntegration:
         try:
             accepted = []
             # Fill past the first watermark with interactive queries.
-            while server.admission.depth() < 4:
+            while server.stats()["queue_depth"] < 4:
                 accepted.append(
                     server.submit(QueryRequest(address).serialize())
                 )

@@ -857,9 +857,9 @@ def test_queue_pressure_sheds_batch_class_with_typed_frame(
                 sock.sendall(FRAME_HEADER.pack(len(request)) + request)
                 feeders.append(sock)
             deadline = time.monotonic() + 5.0
-            while query_server.admission.state() == "normal":
+            while query_server.stats()["admission"]["state"] == "normal":
                 assert time.monotonic() < deadline, (
-                    f"never shed: depth={query_server.admission.depth()}"
+                    f"never shed: depth={query_server.stats()['queue_depth']}"
                 )
                 time.sleep(0.01)
 

@@ -11,6 +11,7 @@ exactly the ground-truth history for its range.
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 import time
@@ -18,6 +19,8 @@ import time
 import pytest
 
 from repro.errors import (
+    BackpressureError,
+    EncodingError,
     QueryError,
     RateLimitedError,
     RequestShedError,
@@ -31,6 +34,7 @@ from repro.node.messages import (
     QueryRequest,
     QueryResponse,
 )
+from repro.node.metrics import parse_metrics, render_metrics
 from repro.node.server import QueryServer, _percentile
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
@@ -76,6 +80,13 @@ class _GatedFullNode(FullNode):
         return super().handle_query(payload)
 
 
+def _wait_for(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
 class TestDispatchAndServe:
     def test_query_roundtrip_verifies(self, server, system, workload):
         address = workload.probe_addresses["Addr3"]
@@ -113,6 +124,14 @@ class TestDispatchAndServe:
             server.submit(b"")
         with pytest.raises(QueryError):
             server.submit(bytes([99]) + b"junk")
+
+    def test_malformed_query_is_queued_and_rejected_typed(self, server):
+        future = server.submit(bytes([QueryRequest.type_tag]) + b"\xff\xff")
+        with pytest.raises(EncodingError):
+            future.result(5)
+        stats = server.stats()
+        assert (stats["failed"], stats["inline_hits"]) == (1, 0)
+        assert stats["admission"]["classes"]["interactive"]["admitted"] == 1
 
     def test_handler_errors_flow_through_future(self, server):
         future = server.submit(QueryRequest("absent", 5, 2).serialize())
@@ -243,6 +262,51 @@ class TestLifecycle:
     def test_drain_reports_idle(self, server, workload):
         server.query(workload.probe_addresses["Addr4"])
         assert server.drain(timeout=5)
+
+    def test_cancelled_request_is_counted_as_cancelled(self, system, workload):
+        gate = threading.Event()
+        server = QueryServer(
+            _GatedFullNode(system, gate), num_workers=1, max_pending=8
+        )
+        address = workload.probe_addresses["Addr3"]
+        try:
+            running = server.submit_query(address)
+            _wait_for(lambda: server.stats()["in_flight"] == 1)
+            queued = server.submit_query(address)
+            assert queued.cancel()
+            gate.set()
+            assert running.result(5)
+            assert server.drain(timeout=5)
+            stats = server.stats()
+            parsed = parse_metrics(render_metrics(server=server))
+        finally:
+            gate.set()
+            server.close()
+        assert (stats["completed"], stats["cancelled"]) == (1, 1)
+        assert stats["admission"]["classes"]["interactive"]["completed"] == 1
+        assert parsed["lvq_requests_cancelled_total"] == 1.0
+
+    def test_close_timeout_bounds_drain_and_joins_together(
+        self, system, workload
+    ):
+        gate = threading.Event()
+        server = QueryServer(
+            _GatedFullNode(system, gate), num_workers=3, max_pending=8
+        )
+        address = workload.probe_addresses["Addr3"]
+        try:
+            futures = [server.submit_query(address) for _ in range(3)]
+            _wait_for(lambda: server.stats()["in_flight"] == 3)
+            started = time.monotonic()
+            server.close(drain=True, timeout=0.2)
+            elapsed = time.monotonic() - started
+        finally:
+            gate.set()
+        assert elapsed < 0.2 + 0.15, f"close took {elapsed:.2f}s"
+        for future in futures:
+            assert future.result(5)
+        for worker in server._workers:
+            worker.join(5)
 
     def test_stats_shape(self, server, workload):
         server.query(workload.probe_addresses["Addr3"])
@@ -398,6 +462,26 @@ class TestInlineHits:
         # The latency windows cover the one request a worker ran.
         assert stats["latency"]["count"] == 1
 
+    def test_one_decode_per_hit_two_per_miss(
+        self, system, workload, monkeypatch
+    ):
+        decoded = []
+        original = QueryRequest.deserialize.__func__
+
+        def counting(cls, payload):
+            decoded.append(payload)
+            return original(cls, payload)
+
+        monkeypatch.setattr(QueryRequest, "deserialize", classmethod(counting))
+        address = workload.probe_addresses["Addr4"]
+        with QueryServer(FullNode(system), num_workers=2) as server:
+            server.query(address)  # a miss: submit, then handle_query
+            assert len(decoded) == 2
+            for _ in range(5):
+                server.submit_query(address).result(5)
+            assert server.stats()["inline_hits"] == 5
+        assert len(decoded) == 2 + 5
+
     def test_hit_is_admitted_completed_and_counted_by_the_cache(
         self, system, workload
     ):
@@ -451,10 +535,10 @@ class TestInlineHits:
             # the watermark state refuses everything that would queue.
             queued = []
             for index in range(8):
-                if server.admission.state() == "shed_all":
+                if server.stats()["admission"]["state"] == "shed_all":
                     break
                 queued.append(server.submit_query(f"cold-{index}"))
-            assert server.admission.state() == "shed_all"
+            assert server.stats()["admission"]["state"] == "shed_all"
             with pytest.raises(RequestShedError):
                 server.submit_query(address)
             assert server.stats()["inline_hits"] == 0
@@ -489,7 +573,7 @@ class TestInlineHits:
         with system.lock.read():
             key = node._response_key(QueryRequest(address))
         node.response_cache.get_or_build(key, lambda: b"planted")
-        assert node.cached_response(payload) is None
+        assert node.cached_response(QueryRequest(address)) is None
         with QueryServer(node, num_workers=2) as server:
             server.query(address)
             server.query(address)
@@ -519,7 +603,7 @@ class TestLockProbe:
             try:
                 assert holding.wait(5.0)
                 payload = QueryRequest(address).serialize()
-                assert node.cached_response(payload) is None
+                assert node.cached_response(QueryRequest(address)) is None
                 started = time.monotonic()
                 future = server.submit(payload)
                 assert time.monotonic() - started < 0.5
@@ -609,3 +693,103 @@ class TestLockProbe:
             result = _result_of(response)
             headers = system.chain.headers()[: result.tip_height + 1]
             verify_result(result, headers, CONFIG, hot)
+
+
+class TestAccounting:
+    """Every stats() snapshot balances, whatever races underneath it."""
+
+    def test_snapshots_balance_under_races(self, workload):
+        system = build_system(workload.bodies[:BUILT_BLOCKS], CONFIG)
+        node = FullNode(system)
+        addresses = list(workload.probe_addresses.values())
+        hot = workload.probe_addresses["Addr4"]
+        clients, per_client = 8, 40
+        errors, violations = [], []
+        cancelled = [0] * clients
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(
+                node,
+                num_workers=2,
+                max_pending=12,
+                rate_limit=50.0,
+                rate_burst=5.0,
+            ) as server:
+
+                def client(index: int) -> None:
+                    # Half the clients are rate limited, half anonymous.
+                    identity = f"c{index}" if index % 2 else None
+                    rng = random.Random(index)
+                    for step in range(per_client):
+                        address = hot if step % 2 else rng.choice(addresses)
+                        first = 1 + rng.randrange(3)
+                        # Every third request a bounded range: backfill
+                        # class, the first one shed.
+                        last = first + 4 if step % 3 == 0 else 0
+                        try:
+                            future = server.submit_query(
+                                address, first, last, client=identity
+                            )
+                        except BackpressureError:
+                            continue
+                        if step % 4 == 0 and future.cancel():
+                            cancelled[index] += 1
+                            continue
+                        try:
+                            future.result(30)
+                        except Exception as exc:  # noqa: BLE001 - collect
+                            errors.append(exc)
+
+                def appender() -> None:
+                    for body in workload.bodies[BUILT_BLOCKS:]:
+                        system.append_block(body)
+                        time.sleep(0.005)
+
+                def auditor() -> None:
+                    while not stop.is_set():
+                        stats = server.stats()
+                        admission = stats["admission"]
+                        settled = (
+                            stats["completed"]
+                            + stats["failed"]
+                            + stats["cancelled"]
+                            + stats["in_flight"]
+                            + stats["queue_depth"]
+                        )
+                        refused = (
+                            admission["ratelimited"]
+                            + admission["shed"]
+                            + admission["queue_full"]
+                        )
+                        if admission["admitted"] != settled:
+                            violations.append(("admitted", stats))
+                        if stats["rejected"] != refused:
+                            violations.append(("rejected", stats))
+
+                threads = [
+                    threading.Thread(target=client, args=(index,))
+                    for index in range(clients)
+                ] + [threading.Thread(target=appender)]
+                watcher = threading.Thread(target=auditor)
+                watcher.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                assert server.drain(timeout=30)
+                stop.set()
+                watcher.join(10.0)
+                final = server.stats()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not violations, violations[:1]
+        assert not errors, errors[:3]
+        assert final["cancelled"] == sum(cancelled)
+        assert final["admission"]["admitted"] == (
+            final["completed"] + final["failed"] + final["cancelled"]
+        )
+        assert final["inline_hits"] > 0
