@@ -40,6 +40,8 @@ dyadic position, on exactly the same inputs.
 from __future__ import annotations
 
 import enum
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bloom.bitarray import BitArray
@@ -290,13 +292,11 @@ class BmtTree:
         item: bytes,
         query_range: "Optional[Tuple[int, int]]" = None,
         positions: "Optional[List[int]]" = None,
-        failed_heights: "Optional[List[int]]" = None,
     ) -> "BmtMultiProof":
         """Merged inexistence/endpoint proof (Fig 11) for ``item``: the
         wire encoding of :meth:`frontier`."""
         return BmtMultiProof.encode(
-            self.frontier(item, query_range, positions, failed_heights),
-            self.bf_bytes,
+            self.frontier(item, query_range, positions), self.bf_bytes
         )
 
     def frontier(
@@ -304,7 +304,6 @@ class BmtTree:
         item: bytes,
         query_range: "Optional[Tuple[int, int]]" = None,
         positions: "Optional[List[int]]" = None,
-        failed_heights: "Optional[List[int]]" = None,
     ) -> "List[Tuple[int, BmtNode]]":
         """The nodes a multiproof for ``item`` ships, as ``(tag, node)``
         pairs in pre-order (the order they are written on the wire).
@@ -315,14 +314,7 @@ class BmtTree:
         blocks the tree covers.
 
         ``positions`` optionally supplies precomputed checked-bit
-        positions (one derivation per query instead of per tree).  When
-        ``failed_heights`` is given, the in-range failed-leaf heights
-        discovered during this descent are appended to it left-to-right —
-        exactly the set :meth:`find_endpoints` would report inside the
-        range, but without a second traversal.  (Both traversals descend
-        precisely through nodes whose checks fail; a failed leaf's
-        ancestors all fail too, because every ancestor filter is a
-        superset union of the leaf's.)
+        positions (one derivation per query instead of per tree).
 
         The pairs reference the tree's own nodes, so a frontier costs one
         tuple per shipped node and copies no filter.
@@ -338,9 +330,7 @@ class BmtTree:
                 f"range [{self.start},{self.end}]"
             )
         out: "List[Tuple[int, BmtNode]]" = []
-        self._collect(
-            self.root, _probes(positions), first, last, failed_heights, out
-        )
+        self._collect(self.root, _probes(positions), first, last, out)
         return out
 
     @staticmethod
@@ -349,7 +339,6 @@ class BmtTree:
         probes: Probes,
         first: int,
         last: int,
-        failed_heights: "Optional[List[int]]",
         out: "List[Tuple[int, BmtNode]]",
     ) -> None:
         if node.end < first or node.start > last:  # fully outside the range
@@ -363,17 +352,120 @@ class BmtTree:
             )
             return
         if node.is_leaf:
-            if failed_heights is not None:
-                failed_heights.append(node.start)
             out.append((_TAG_FAILED_LEAF, node))
             return
         assert node.left is not None and node.right is not None
         out.append((_TAG_INTERNAL, node))
-        BmtTree._collect(node.left, probes, first, last, failed_heights, out)
-        BmtTree._collect(node.right, probes, first, last, failed_heights, out)
+        BmtTree._collect(node.left, probes, first, last, out)
+        BmtTree._collect(node.right, probes, first, last, out)
 
     def __repr__(self) -> str:
         return f"BmtTree(blocks=[{self.start},{self.end}], depth={self.depth})"
+
+
+#: A :class:`SpanImage` keeps its parts and stops in pieces of this many,
+#: each small enough for CPython's small-object allocator (512 bytes):
+#: flat ones came from the C heap and fragmented it (DESIGN.md §8).
+_PIECE = 56
+#: Object headers of one piece (tuple and array), and of one memoized
+#: image with its key and LRU slot, as ``tracemalloc`` counts them.
+_PIECE_OVERHEAD = 120
+_ENTRY_OVERHEAD = 512
+
+
+class SpanImage:
+    """An item's whole-span multiproof over the tree at ``root``, built in
+    one pre-order pass (``positions`` are the item's checked bits) and
+    held as references, that answers any clipped range in O(depth) node
+    visits (§V: a narrower range stubs the subtrees outside it).
+
+    Part ``p`` is what :meth:`BmtMultiProof.encode` writes ``p``-th for
+    the whole-span frontier: a tag byte, or a hash or filter the forest
+    holds.  The subtree of the node whose parts start at ``p`` ends at
+    stop ``p``; ``failed`` holds the failed-leaf heights, ascending.
+    ``held_bytes`` weighs what a memo holds for the image: a reference
+    and a stop per part, the heights and the objects' headers.
+    """
+
+    __slots__ = ("root", "parts", "stops", "failed", "held_bytes")
+
+    def __init__(self, root: BmtNode, positions: Sequence[int]) -> None:
+        probes = _probes(positions)
+        internal = _TAG_BYTES[_TAG_INTERNAL]
+        parts: List[bytes] = []
+        starts: List[int] = []  # where each node's parts start, pre-order
+        failed: List[int] = []
+        stack = [root]
+        while stack:  # a node without a left child is a leaf
+            node = stack.pop()
+            starts.append(len(parts))
+            if not _check_fails(node.raw, probes):
+                if node.left is None:
+                    parts += (_TAG_BYTES[_TAG_CLEAN_LEAF], node.raw)
+                else:
+                    assert node.right is not None
+                    hashes = (node.left.hash, node.right.hash)
+                    parts += (_TAG_BYTES[_TAG_CLEAN_INTERNAL], *hashes, node.raw)
+            elif node.left is None:
+                failed.append(node.start)
+                parts += (_TAG_BYTES[_TAG_FAILED_LEAF], node.raw)
+            else:
+                assert node.right is not None
+                parts.append(internal)
+                stack += (node.right, node.left)
+        # An endpoint stops where the next node starts; an internal node
+        # where its right child stops, which starts where its left stops.
+        stops = [0] * len(parts)
+        after = len(parts)
+        for at in reversed(starts):
+            stops[at] = stops[stops[at + 1]] if parts[at] is internal else after
+            after = at
+        self.root = root
+        cuts = range(0, len(parts), _PIECE)
+        self.parts = tuple(tuple(parts[at : at + _PIECE]) for at in cuts)
+        code = "H" if len(parts) <= 0xFFFF else "I"
+        self.stops = tuple(array(code, stops[at : at + _PIECE]) for at in cuts)
+        self.failed = array("I", failed)
+        self.held_bytes = _ENTRY_OVERHEAD + _PIECE_OVERHEAD * len(cuts) + (
+            (8 + self.stops[0].itemsize) * len(parts) + 4 * len(failed)
+        )
+
+    def restrict(self, first: int, last: int) -> "Tuple[bytes, Sequence[int]]":
+        """The image of ``multiproof(item, query_range=(first, last))``
+        and the failed-leaf heights inside ``[first, last]``."""
+        out: List[bytes] = []
+        self._restrict(self.root, 0, first, last, out)
+        failed = self.failed
+        low, high = bisect_left(failed, first), bisect_right(failed, last)
+        return b"".join(out), failed[low:high]
+
+    def _restrict(
+        self, node: BmtNode, at: int, first: int, last: int, out: List[bytes]
+    ) -> None:
+        # Only the two boundary paths recurse: a subtree wholly outside
+        # the range is a stub, one inside (or an endpoint) a run of parts.
+        if node.end < first or node.start > last:
+            if node.is_leaf:
+                out += (_TAG_BYTES[_TAG_STUB_LEAF], node.raw)
+            else:
+                out += (_TAG_BYTES[_TAG_STUB_INTERNAL], node.hash, node.raw)
+            return
+        piece, index = divmod(at, _PIECE)
+        if (first <= node.start and node.end <= last) or (
+            self.parts[piece][index] is not _TAG_BYTES[_TAG_INTERNAL]
+        ):
+            stop = self.stops[piece][index]
+            while at < stop:  # the run, piece by piece
+                piece, index = divmod(at, _PIECE)
+                run = self.parts[piece][index : index + stop - at]
+                out += run
+                at += len(run)
+            return
+        assert node.left is not None and node.right is not None
+        out.append(_TAG_BYTES[_TAG_INTERNAL])
+        self._restrict(node.left, at + 1, first, last, out)
+        piece, index = divmod(at + 1, _PIECE)
+        self._restrict(node.right, self.stops[piece][index], first, last, out)
 
 
 class VerifiedBmt:

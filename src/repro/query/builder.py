@@ -88,10 +88,9 @@ class BuiltSystem:
         self.address_index = address_index
         #: Bounded, thread-safe memo caches: ``resolutions`` (block
         #: evidence keyed ``(address, height)``) and ``segments``
-        #: (``(frontier, failed_heights)`` keyed ``(address, anchor,
-        #: start, end, clipped_range)``).  Both hold append-stable
-        #: values; see :mod:`repro.query.cache` for the invalidation
-        #: rules.
+        #: (whole-span multiproof images keyed ``(address, anchor,
+        #: start, end)``).  Both hold append-stable values; see
+        #: :mod:`repro.query.cache` for the invalidation rules.
         self.caches = caches if caches is not None else QueryCaches()
         #: Readers/writer lock fencing queries against ``append_block``.
         self.lock = RWLock()

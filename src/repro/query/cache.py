@@ -20,7 +20,7 @@ module supplies the serving-grade replacements:
   tip)``.  Hot addresses are proven and serialized once per tip and then
   served as a memcpy.
 * :class:`QueryCaches` — the per-system bundle (resolutions as wire
-  bytes, bounded in bytes; segments, bounded in entries) wired into
+  bytes and segments as whole-span images, both bounded in bytes) wired into
   :class:`~repro.query.builder.BuiltSystem`.
 
 Invalidation rules (DESIGN.md §8): block resolutions and segment
@@ -39,6 +39,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Any, Callable, Dict, Hashable, Iterator
 
 
@@ -73,23 +74,18 @@ class CacheStats:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self, unit: str = "entries") -> "dict[str, object]":
-        """The counters by name, the bound as ``max_<unit>``.
-
-        A unit other than entries also reports the weight, under the
-        unit's name (entries are already there as ``size``).
-        """
-        report = {
+    def as_dict(self) -> "dict[str, object]":
+        """The counters by name; the weight and bound as ``bytes`` and
+        ``max_bytes``, the unit every cache of the query path weighs in."""
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "size": self.size,
+            "bytes": self.weight,
+            "max_bytes": self.bound,
+            "hit_rate": self.hit_rate,
         }
-        if unit != "entries":
-            report[unit] = self.weight
-        report[f"max_{unit}"] = self.bound
-        report["hit_rate"] = self.hit_rate
-        return report
 
     def __repr__(self) -> str:
         return (
@@ -458,7 +454,7 @@ class ResponseCache:
         flights = self._flight.flights
         lru = self._lru.stats()
         lru.misses -= coalesced
-        report = lru.as_dict("bytes")
+        report = lru.as_dict()
         report["flights"] = flights
         report["coalesced"] = coalesced
         return report
@@ -470,7 +466,10 @@ class ResponseCache:
 #: The resolution memo holds wire bytes and is bounded by them: no e2e
 #: workload fills it (EXPERIMENTS.md lists each one's peak).
 DEFAULT_RESOLUTION_BYTES = 32 * 1024 * 1024
-DEFAULT_MAX_SEGMENTS = 16_384
+#: The segment memo is bounded by what its images hold (``held_bytes``):
+#: about what all ~4,000 addresses ``history_cold`` draws from would take
+#: at ≈ 4.4 KB each; one 16 s run holds 6.5 MiB (EXPERIMENTS.md).
+DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
 
 
 #: The resolution memo keeps each wire image as pieces of at most this
@@ -493,9 +492,10 @@ class QueryCaches:
     tag-first wire bytes — read and written through
     :meth:`resolution_wire` and :meth:`remember_resolution`, held as
     :data:`RESOLUTION_PIECE_BYTES` pieces — bounded by the bytes it
-    holds; ``segments`` maps a segment key to its ``(frontier, failed
-    heights)``, bounded in entries.  Both hold append-stable values, so chain growth never
-    invalidates them.  Response-byte caches live on each
+    holds; ``segments`` maps ``(address, anchor, start, end)`` to the
+    span's whole-span :class:`~repro.merkle.bmt.SpanImage`, bounded by
+    the bytes the images hold.  Both hold append-stable values, so chain
+    growth never invalidates them.  Response-byte caches live on each
     :class:`FullNode` (two nodes wrapping one system may answer
     differently, e.g. the adversarial test doubles) and register
     themselves via the system's append listeners for tip invalidation.
@@ -506,10 +506,10 @@ class QueryCaches:
     def __init__(
         self,
         max_resolution_bytes: int = DEFAULT_RESOLUTION_BYTES,
-        max_segments: int = DEFAULT_MAX_SEGMENTS,
+        max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> None:
         self.resolutions = LRUCache(max_resolution_bytes, weigh=_joined_len)
-        self.segments = LRUCache(max_segments)
+        self.segments = LRUCache(max_segment_bytes, weigh=attrgetter("held_bytes"))
 
     def resolution_wire(self, key: Hashable) -> "bytes | None":
         """The wire bytes memoized under ``key``, or ``None``."""
@@ -534,9 +534,9 @@ class QueryCaches:
 
         * resolutions are keyed ``(address, height)`` — evict
           ``height > fork``;
-        * segment multiproofs are keyed ``(address, anchor, start, end,
-          clipped)`` — a tree whose span reaches past the fork covers
-          replaced blocks, so evict ``end > fork``.
+        * span images are keyed ``(address, anchor, start, end)`` — a
+          tree whose span reaches past the fork covers replaced blocks,
+          so evict ``end > fork``.
 
         Response-byte caches are *not* handled here: they live per node
         and are dropped wholesale through the system's reorg listeners
@@ -553,6 +553,6 @@ class QueryCaches:
 
     def stats(self) -> "dict[str, dict]":
         return {
-            "resolutions": self.resolutions.stats().as_dict("bytes"),
+            "resolutions": self.resolutions.stats().as_dict(),
             "segments": self.segments.stats().as_dict(),
         }

@@ -14,9 +14,10 @@ Three prover-side optimizations make this the *fast* path (the original
 algorithms live on as the oracle in :mod:`repro.query.naive`, and the
 equivalence tests pin both to byte-identical output):
 
-1. **Single-pass proof generation** — ``BmtTree.frontier`` collects
-   the failed-leaf heights during its own descent, eliminating the
-   duplicate ``find_endpoints`` traversal per segment;
+1. **Descend once per address and span** — the segment memo holds a
+   span's whole-span multiproof (:class:`~repro.merkle.bmt.SpanImage`,
+   references to the forest's bytes, failed-leaf heights included), and
+   every range over the span is a slice of it (O(depth) node visits);
 2. **Position caching** — the item's checked-bit positions are derived
    once per (query, geometry) via :class:`PositionCache` and threaded
    through every tree descent and per-block check;
@@ -44,7 +45,7 @@ from repro.chain.address import address_item
 from repro.chain.block import Block
 from repro.chain.segments import covering_spans
 from repro.errors import QueryError
-from repro.merkle.bmt import BmtMultiProof
+from repro.merkle.bmt import BmtMultiProof, SpanImage
 from repro.query.builder import BuiltSystem
 from repro.query.config import SystemKind
 from repro.query.fragments import (
@@ -110,34 +111,19 @@ def _answer_with_segments(
     for anchor, start, end in covering_spans(system.tip_height, config.segment_len):
         if end < first or start > last:
             continue  # segment entirely outside the queried range
-        clipped = (max(start, first), min(end, last))
         # A BMT over a fixed span is immutable once merged, so its
-        # multiproof for a given clipped range is memoizable forever.
-        seg_key = (address, anchor, start, end, clipped)
-        cached = system.caches.segments.get(seg_key)
-        if cached is None:
-            tree = system.forest.tree(start, end)
-            # Single pass: the in-range failed-leaf heights fall out of
-            # the multiproof's own descent, left to right.
-            failed: List[int] = []
-            frontier = tree.frontier(
-                item,
-                query_range=clipped,
-                positions=cache.positions(config.num_hashes, config.bf_bits),
-                failed_heights=failed,
+        # whole-span image is memoizable forever, and every range that
+        # clips the span is a slice of it (DESIGN.md §8).
+        seg_key = (address, anchor, start, end)
+        image = system.caches.segments.get(seg_key)
+        if image is None:
+            image = SpanImage(
+                system.forest.node(start, end),
+                cache.positions(config.num_hashes, config.bf_bits),
             )
-            cached = (frontier, failed)
-            # File only the whole-span proof.  A clipped one can be hit
-            # again only by the same (address, first, last) on the same
-            # span, which the response cache in front already absorbs;
-            # filing it grows the memo by one never-read entry per cold
-            # range query (DESIGN.md §8).  The memo keeps the frontier —
-            # references into the forest — not its encoding, which would
-            # pin a copy of every shipped filter per entry.
-            if clipped == (start, end):
-                system.caches.segments[seg_key] = cached
-        frontier, failed = cached
-        multiproof = BmtMultiProof.encode(frontier, config.bf_bytes)
+            system.caches.segments[seg_key] = image
+        raw, failed = image.restrict(max(start, first), min(end, last))
+        multiproof = BmtMultiProof(raw, config.bf_bytes)
         resolutions: Dict[int, WireResolution] = {
             height: _resolve_block(system, height, address)
             for height in failed

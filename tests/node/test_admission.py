@@ -468,11 +468,13 @@ class TestMetrics:
     def test_prover_memo_bytes_exported(self, system, workload):
         with QueryServer(FullNode(system), num_workers=2) as server:
             server.query(workload.probe_addresses["Addr6"])
-            memo = server.stats()["caches"]["resolutions"]
+            caches = server.stats()["caches"]
             parsed = parse_metrics(render_metrics(server=server))
-        key = 'lvq_cache_counter{cache="resolutions",counter="%s"}'
-        assert parsed[key % "bytes"] == memo["bytes"] > 0
-        assert parsed[key % "max_bytes"] == memo["max_bytes"]
+        for name in ("resolutions", "segments"):
+            memo = caches[name]
+            key = 'lvq_cache_counter{cache="%s",counter="%%s"}' % name
+            assert parsed[key % "bytes"] == memo["bytes"] > 0
+            assert parsed[key % "max_bytes"] == memo["max_bytes"]
 
     def test_http_endpoint_scrapes(self, system, workload):
         with QueryServer(FullNode(system), num_workers=2) as server:

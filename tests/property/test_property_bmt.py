@@ -5,14 +5,17 @@ Invariants under ANY block contents and ANY probe item:
 * the endpoints of a check partition the covered height range exactly;
 * a verified multiproof reports a clean/failed partition that covers the
   range, never marks a block containing the item as clean, and accepts
-  only the root it was built from.
+  only the root it was built from;
+* a whole-span image restricted to any range is that range's multiproof,
+  byte for byte, with exactly its in-range failed leaves.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.filter import BloomFilter
-from repro.merkle.bmt import BmtMultiProof, BmtTree, EndpointKind
+from repro.bloom.filter import BloomFilter, bloom_positions
+from repro.merkle import bmt
+from repro.merkle.bmt import BmtMultiProof, BmtTree, EndpointKind, SpanImage
 from repro.crypto.encoding import ByteReader
 
 SIZE_BITS = 256
@@ -113,3 +116,58 @@ class TestBmtProperties:
             for e in tree.find_endpoints(probe)
             if e.kind is EndpointKind.LEAF_FAILED
         )
+
+
+class TestSpanImageRestriction:
+    @given(data=st.data())
+    @settings(max_examples=120)
+    def test_restricted_image_is_the_range_multiproof(self, data):
+        size = 1 << data.draw(st.integers(0, 6), label="depth")
+        blocks = data.draw(
+            st.lists(
+                st.lists(st.binary(min_size=1, max_size=6), max_size=10),
+                min_size=size,
+                max_size=size,
+            ),
+            label="blocks",
+        )
+        tree = build_tree(blocks)
+        known = sorted({item for items in blocks for item in items})
+        probe = data.draw(
+            st.one_of(st.binary(min_size=1, max_size=6), st.sampled_from(known))
+            if known
+            else st.binary(min_size=1, max_size=6),
+            label="probe",
+        )
+        first = data.draw(st.integers(1, size), label="first")
+        last = data.draw(st.integers(first, size), label="last")
+        self._check(tree, probe, size, first, last)
+        default_piece = bmt._PIECE
+        bmt._PIECE = 3  # runs and subtrees across many piece boundaries
+        try:
+            self._check(tree, probe, size, first, last)
+        finally:
+            bmt._PIECE = default_piece
+
+    @staticmethod
+    def _check(tree, probe, size, first, last):
+        image = SpanImage(tree.root, bloom_positions(probe, K, SIZE_BITS))
+        for query_range in {
+            (first, last),
+            (first, first),
+            (1, last),
+            (first, size),
+            (1, 1),
+            (size, size),
+            (1, size),
+        }:
+            raw, failed = image.restrict(*query_range)
+            expected = tree.multiproof(probe, query_range=query_range)
+            assert raw == expected.serialize()
+            low, high = query_range
+            assert list(failed) == [
+                endpoint.node.start
+                for endpoint in tree.find_endpoints(probe)
+                if endpoint.kind is EndpointKind.LEAF_FAILED
+                and low <= endpoint.node.start <= high
+            ]

@@ -561,19 +561,28 @@ class TestBuiltSystemCacheWiring:
     def test_memos_are_bounded_lrus(self, serving_setup):
         workload, config, _system = serving_setup
         system = build_system(
-            workload.bodies[:17], config, caches=QueryCaches(3_000, 2)
+            workload.bodies[:17],
+            config,
+            caches=QueryCaches(3_000, max_segment_bytes=2_000),
         )
         for address in workload.probe_addresses.values():
             answer_query(system, address)
-        assert len(system.caches.segments) <= 2
-        assert system.caches.stats()["segments"]["max_entries"] == 2
+            report = system.caches.stats()["segments"]
+            assert report["bytes"] <= report["max_bytes"] == 2_000
+        memo = system.caches.segments
+        held = [memo.get(key).held_bytes for key in memo.keys()]
+        assert held and report["bytes"] == sum(held)
+        assert report["evictions"] > 0
+        assert "max_entries" not in report
 
     def test_resolution_memo_holds_wire_bytes_within_its_byte_bound(
         self, serving_setup
     ):
         workload, config, _system = serving_setup
         system = build_system(
-            workload.bodies[:17], config, caches=QueryCaches(1_000, 2)
+            workload.bodies[:17],
+            config,
+            caches=QueryCaches(1_000, max_segment_bytes=2_000),
         )
         for address in workload.probe_addresses.values():
             for _ in range(2):
@@ -674,10 +683,9 @@ class TestAppendInvalidation:
 
 
 class TestSegmentMemoAdmission:
-    """Only whole-span multiproofs are filed (DESIGN.md §8): a clipped
-    one can be hit again only by the very ``(address, first, last)`` the
-    response cache in front already absorbs, so filing it would grow
-    the memo by one never-read entry per cold range query."""
+    """One entry per ``(address, span)`` (DESIGN.md §8): any range that
+    clips a span files the span's whole-span image, and every other range
+    of the same address over that span is answered from it."""
 
     def _warmed(self, serving_setup):
         workload, config, _shared = serving_setup
@@ -709,11 +717,14 @@ class TestSegmentMemoAdmission:
         system = build_system(workload.bodies[:17], config)
         address = _onchain_address(workload)
         answer_query(system, address, 5, 16)  # 1-8 clipped, 9-16 whole
-        assert [key[2:4] for key in system.caches.segments.keys()] == [(9, 16)]
+        filed = [(1, 8), (9, 16)]
+        assert [key[2:4] for key in system.caches.segments.keys()] == filed
         hits = system.caches.stats()["segments"]["hits"]
-        answer_query(system, address, 3, 16)  # a different range, same span
-        answer_query(system, address)
+        answer_query(system, address, 3, 16)  # a different range, same spans
         assert system.caches.stats()["segments"]["hits"] == hits + 2
+        answer_query(system, address)
+        assert system.caches.stats()["segments"]["hits"] == hits + 4
+        assert [key[2:4] for key in system.caches.segments.keys()] == filed
 
     def test_reorg_evicts_filed_spans_above_the_fork(self, serving_setup):
         system, addresses = self._warmed(serving_setup)

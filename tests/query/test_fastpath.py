@@ -124,6 +124,46 @@ class TestWireMemoEquivalence:
         for _pass in ("refill", "warm"):
             _assert_matches_oracle(system, addresses, ranges)
 
+    def test_clipped_ranges_sliced_from_a_memo_warmed_by_other_ranges(
+        self, any_system, workload
+    ):
+        """Each (address, span) is descended once: ranges other than the
+        one that filed a span's image are sliced from it, cold, warm and
+        after an equal-length reorg, and still match the oracle."""
+        tip = any_system.tip_height
+        addresses = _addresses_under_test(workload)
+        filing = [(3, tip - 2)]  # clips the first and the last span
+        clipped = [(5, 20), (18, 30), (2, tip - 5), (tip - 1, tip), (1, 1)]
+        any_system.clear_query_caches()
+        _assert_matches_oracle(any_system, addresses, filing)
+        filed = any_system.caches.stats()["segments"]
+        for _pass in ("sliced", "warm"):
+            _assert_matches_oracle(any_system, addresses, clipped)
+        sliced = any_system.caches.stats()["segments"]
+        assert sliced["misses"] == filed["misses"]
+        assert sliced["size"] == filed["size"]
+        if any_system.config.uses_bmt:
+            assert sliced["hits"] > filed["hits"]
+
+        params = workload.params
+        system = build_system(workload.bodies, any_system.config)
+        _assert_matches_oracle(system, addresses, filing)
+        fork = tip - 9
+        stale = [key for key in system.caches.segments.keys() if key[3] > fork]
+        assert bool(stale) == system.config.uses_bmt
+        alt = generate_workload(
+            WorkloadParams(
+                num_blocks=params.num_blocks,
+                txs_per_block=params.txs_per_block,
+                seed=params.seed + 1,
+                probes=params.probes,
+            )
+        )
+        system.reorg(fork, alt.bodies[fork + 1 :])
+        assert not set(stale) & set(system.caches.segments.keys())
+        for _pass in ("refill", "warm"):
+            _assert_matches_oracle(system, addresses, clipped)
+
 
 class TestBatchEquivalence:
     def test_batch_byte_identical(self, any_system, workload):

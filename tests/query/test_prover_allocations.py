@@ -8,13 +8,15 @@ same query, or a narrower range over the same blocks — re-encodes no
 transaction, no Merkle or SMT branch and no filter.  This counts those
 encoders while a second answer is produced and fails if any runs, so a
 change that brings the per-answer re-encode back fails here, with no
-harness to run.
+harness to run.  Likewise a range whose spans' whole-span images are
+memoized is sliced from them and checks no Bloom filter at all.
 """
 
 import pytest
 
 from repro.bloom.bitarray import BitArray
 from repro.chain.transaction import Transaction
+from repro.merkle import bmt
 from repro.merkle.sorted_tree import SmtBranch
 from repro.merkle.tree import MerkleBranch
 from repro.node.messages import AggregatedBatchResponse, QueryResponse
@@ -64,7 +66,7 @@ def test_second_answer_over_warm_keys_encodes_nothing(
     system = request.getfixturevalue(name)
     system.clear_query_caches()
     tip = system.tip_height
-    spans = [(1, tip), (3, tip - 5)]  # the narrower one misses the segment memo
+    spans = [(1, tip), (3, tip - 5)]  # the narrower one is sliced from the memo
     cold = {}
     for address in probe_addresses.values():
         for first, last in spans:
@@ -109,3 +111,32 @@ def test_per_block_kinds_encode_no_resolution_twice(
     warm = encodes()
     del warm["BitArray.to_bytes"]
     assert warm == dict.fromkeys(warm, 0)
+
+
+@pytest.mark.parametrize("name", ["lvq_system", "lvq_no_smt_system"])
+def test_segment_memo_hit_checks_no_filter(
+    request, name, probe_addresses, monkeypatch
+):
+    system = request.getfixturevalue(name)
+    system.clear_query_caches()
+    tip = system.tip_height
+    for address in probe_addresses.values():
+        answer_query(system, address, 2, tip - 1)  # files every span
+    checks = 0
+    real = bmt._check_fails
+
+    def counting(raw, probes):
+        nonlocal checks
+        checks += 1
+        return real(raw, probes)
+
+    monkeypatch.setattr(bmt, "_check_fails", counting)
+    misses = system.caches.stats()["segments"]["misses"]
+    for address in probe_addresses.values():
+        for first, last in [(1, tip), (5, 20), (tip - 3, tip), (7, 7)]:
+            _answer_bytes(system, address, first, last)
+    assert system.caches.stats()["segments"]["misses"] == misses
+    assert checks == 0
+    system.clear_query_caches()
+    _answer_bytes(system, probe_addresses["Addr6"], 5, 20)
+    assert checks > 0  # a miss descends, through the counted check
