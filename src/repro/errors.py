@@ -86,6 +86,11 @@ class BackpressureError(QueryError):
         }
 
 
+#: Ceiling on any retry-after wait a client honours, in seconds, so a
+#: hostile or confused server cannot park a client for hours.
+MAX_RETRY_AFTER_SECONDS = 30.0
+
+
 class ServerOverloadedError(BackpressureError):
     """A query server's bounded request queue rejected new work.
 

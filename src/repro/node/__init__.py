@@ -19,6 +19,7 @@ from repro.node.faults import (
     FaultSchedule,
     FaultyTransport,
     FlakyFullNode,
+    SocketFaultInjector,
 )
 from repro.node.session import (
     PartialHistory,
@@ -31,7 +32,6 @@ from repro.node.net import (
     EventLoopThread,
     NetServer,
     NetServerStats,
-    SocketFaultInjector,
 )
 from repro.node.netclient import (
     ClientConnection,

@@ -15,12 +15,11 @@ strictness and chaos suites.
   failures cross the wire as :class:`~repro.node.messages.ErrorResponse`
   frames, so the client rebuilds the same typed exceptions the
   in-process path raises.
-* :class:`SocketFaultInjector` — a frame-aware man-in-the-middle proxy
-  speaking the same FaultSchedule language as PR 2's
-  :class:`~repro.node.faults.FaultyTransport`, but with the faults
-  realized at the socket layer: connection reset (RST), mid-frame
-  stall, partial write followed by an abrupt FIN, byte corruption,
-  frame swallowing, duplication and reordering.
+
+This module carries no chaos code: the socket fault proxy the chaos
+suites put between a client and a :class:`NetServer` lives in
+:mod:`repro.node.faults`, beside the in-process fault executor, and
+nothing here imports that module.
 
 The event loop runs on a dedicated daemon thread
 (:class:`EventLoopThread`), so synchronous code — tests, the CLI, the
@@ -43,7 +42,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.node import messages as _messages
-from repro.node.faults import FaultKind, FaultSchedule
 from repro.node.server import _SUBSCRIPTION_TAGS
 from repro.node.transport import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -705,282 +703,9 @@ class NetServer:
         )
 
 
-# ---------------------------------------------------------------------------
-# socket-layer chaos
-
-
-def _reset_connection(writer: asyncio.StreamWriter) -> None:
-    """Abort with an RST where the platform allows it — the peer sees a
-    connection reset, not an orderly FIN."""
-    import socket as _socket
-
-    sock = writer.get_extra_info("socket")
-    if sock is not None:
-        try:
-            sock.setsockopt(
-                _socket.SOL_SOCKET,
-                _socket.SO_LINGER,
-                struct.pack("ii", 1, 0),
-            )
-        except OSError:
-            pass
-    writer.transport.abort()
-
-
-class SocketFaultInjector:
-    """A frame-aware chaos proxy between a client and a real server.
-
-    Listens on its own loopback port and forwards length-framed traffic
-    to ``target``; every frame in either direction is run through a PR 2
-    :class:`~repro.node.faults.FaultSchedule` — the same rule language
-    the in-process :class:`~repro.node.faults.FaultyTransport` speaks,
-    realized at the socket layer:
-
-    =============  ========================================================
-    ``DELAY``      mid-frame stall: half the frame, a real sleep of
-                   ``param * delay_scale`` seconds, then the rest
-    ``DROP``       the frame is swallowed; the receiver waits in silence
-    ``TRUNCATE``   partial write: the header claims the full length but
-                   only a prefix is sent, then an abrupt FIN
-    ``CORRUPT``    ``param`` bytes of the frame body flipped in place
-    ``CLOSE``      connection reset (RST) after ``param`` payload bytes
-    ``DUPLICATE``  the frame is delivered twice
-    ``REORDER``    delivered after the next frame in that direction
-    =============  ========================================================
-
-    Faults drawn from the shared schedule advance the same message
-    counter and RNG as the in-process wrapper, so a scripted schedule
-    stays a deterministic script whichever layer executes it.
-    """
-
-    def __init__(
-        self,
-        target: Tuple[str, int],
-        schedule: Optional[FaultSchedule] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        delay_scale: float = 0.01,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        loop_thread: Optional[EventLoopThread] = None,
-    ) -> None:
-        self.target = target
-        self.schedule = schedule if schedule is not None else FaultSchedule()
-        self.host = host
-        self.port = port
-        self.delay_scale = delay_scale
-        self.max_frame_bytes = max_frame_bytes
-        self._owns_loop = loop_thread is None
-        self._loop_thread = loop_thread
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._held: "dict[str, Optional[bytes]]" = {
-            "to_server": None,
-            "to_client": None,
-        }
-        self._closed = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    def start(self) -> "SocketFaultInjector":
-        if self._loop_thread is None:
-            self._loop_thread = EventLoopThread("repro-chaos-proxy")
-        self._loop_thread.call(self._start())
-        return self
-
-    async def _start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
-
-    def close(self) -> None:
-        if self._closed or self._loop_thread is None:
-            return
-        self._closed = True
-        self._loop_thread.call(self._shutdown())
-        if self._owns_loop:
-            self._loop_thread.stop()
-
-    async def _shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.transport.abort()
-
-    def __enter__(self) -> "SocketFaultInjector":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- pumps -------------------------------------------------------------
-
-    async def _handle(
-        self, client_reader: asyncio.StreamReader, client_writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            server_reader, server_writer = await asyncio.open_connection(
-                *self.target
-            )
-        except OSError:
-            client_writer.transport.abort()
-            return
-        self._writers.add(client_writer)
-        self._writers.add(server_writer)
-        try:
-            await asyncio.gather(
-                self._pump(
-                    "to_server", client_reader, server_writer, client_writer
-                ),
-                self._pump(
-                    "to_client", server_reader, client_writer, server_writer
-                ),
-                return_exceptions=True,
-            )
-        finally:
-            for writer in (client_writer, server_writer):
-                self._writers.discard(writer)
-                writer.close()
-
-    async def _pump(
-        self,
-        direction: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        back_writer: asyncio.StreamWriter,
-    ) -> None:
-        """Forward frames one way, applying the fault schedule."""
-        while True:
-            try:
-                header = await reader.readexactly(FRAME_HEADER.size)
-                (length,) = FRAME_HEADER.unpack(header)
-                if length == 0 or length > self.max_frame_bytes:
-                    # Not a frame we can reason about: sever the link.
-                    writer.transport.abort()
-                    back_writer.transport.abort()
-                    return
-                frame = await reader.readexactly(length)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                # One side went away: propagate the close to the other.
-                writer.close()
-                return
-            try:
-                alive = await self._deliver(direction, frame, writer, back_writer)
-            except (ConnectionError, OSError):
-                return
-            if not alive:
-                return
-
-    async def _deliver(
-        self,
-        direction: str,
-        frame: bytes,
-        writer: asyncio.StreamWriter,
-        back_writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Apply drawn faults to one frame; False ends this connection."""
-        rules = self.schedule.draw(direction)
-        rng = self.schedule.rng()
-        stall: Optional[float] = None
-        for rule in rules:
-            kind = rule.kind
-            self.schedule.count(kind)
-            if kind is FaultKind.DELAY:
-                stall = (
-                    rule.param if rule.param is not None else 1.0
-                ) * self.delay_scale
-            elif kind is FaultKind.CLOSE:
-                delivered = (
-                    int(rule.param)
-                    if rule.param is not None
-                    else rng.randrange(0, len(frame) + 1)
-                )
-                delivered = max(0, min(delivered, len(frame)))
-                writer.write(
-                    FRAME_HEADER.pack(len(frame)) + frame[:delivered]
-                )
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-                _reset_connection(writer)
-                _reset_connection(back_writer)
-                return False
-            elif kind is FaultKind.DROP:
-                return True  # swallowed; the receiver hears silence
-            elif kind is FaultKind.TRUNCATE:
-                cut = (
-                    int(rule.param)
-                    if rule.param is not None
-                    else rng.randrange(0, max(len(frame), 1))
-                )
-                cut = max(0, min(cut, max(len(frame) - 1, 0)))
-                # Header claims the full frame; only a prefix arrives,
-                # then an orderly FIN — the "abrupt FIN mid-frame" case.
-                writer.write(FRAME_HEADER.pack(len(frame)) + frame[:cut])
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-                writer.close()
-                back_writer.close()
-                return False
-            elif kind is FaultKind.CORRUPT:
-                nbytes = int(rule.param) if rule.param is not None else 1
-                mutated = bytearray(frame)
-                for _ in range(max(1, nbytes)):
-                    position = rng.randrange(0, len(mutated))
-                    mutated[position] ^= rng.randrange(1, 256)
-                frame = bytes(mutated)
-            elif kind is FaultKind.DUPLICATE:
-                await self._forward(writer, frame, None)
-            elif kind is FaultKind.REORDER:
-                held = self._held[direction]
-                self._held[direction] = frame
-                if held is None:
-                    return True  # nothing earlier yet: hold this one
-                frame = held
-
-        await self._forward(writer, frame, stall)
-        return True
-
-    async def _forward(
-        self,
-        writer: asyncio.StreamWriter,
-        frame: bytes,
-        stall: Optional[float],
-    ) -> None:
-        payload = FRAME_HEADER.pack(len(frame)) + frame
-        if stall is not None and len(payload) > 1:
-            # Mid-frame stall: a prefix lands, then the line goes quiet.
-            split = max(1, len(payload) // 2)
-            writer.write(payload[:split])
-            await writer.drain()
-            await asyncio.sleep(stall)
-            writer.write(payload[split:])
-        else:
-            writer.write(payload)
-        await writer.drain()
-
-    def __repr__(self) -> str:
-        return (
-            f"SocketFaultInjector({self.host}:{self.port} → "
-            f"{self.target[0]}:{self.target[1]}, {self.schedule!r})"
-        )
-
-
 __all__ = [
     "EventLoopThread",
     "FRAME_HEADER",
     "NetServer",
     "NetServerStats",
-    "SocketFaultInjector",
 ]

@@ -7,7 +7,9 @@ Three layers, each usable alone:
   a cheap liveness probe (a zero-cost EOF peek, escalating to a
   ping/pong round trip for connections idle past a threshold).
 * :class:`ConnectionPool` — a bounded pool of warm connections to one
-  server: reconnect with exponential backoff + seeded jitter, health-
+  server: reconnects paced by a :class:`~repro.node.session.RetryPolicy`
+  (the session's one backoff formula, seeded jitter), retry-after hints
+  capped at :data:`~repro.errors.MAX_RETRY_AFTER_SECONDS`, health-
   checked reuse, and one conservative in-flight failover — a request
   that died on a *reused* connection before any response byte arrived
   is retried once on a fresh connection (the classic half-closed-socket
@@ -34,6 +36,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
+    MAX_RETRY_AFTER_SECONDS,
     BackpressureError,
     ConnectionLimitError,
     ChainError,
@@ -55,6 +58,7 @@ from repro.node.messages import (
     PongResponse,
 )
 from repro.node.net import FRAME_HEADER
+from repro.node.session import RetryPolicy
 from repro.node.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     compress_frame,
@@ -66,7 +70,7 @@ def _retry_seconds(params: Tuple[int, ...], position: int) -> "float | None":
     clamped so a hostile hint cannot park a client for hours."""
     if len(params) <= position or params[position] <= 0:
         return None
-    return min(params[position] / 1000.0, 30.0)
+    return min(params[position] / 1000.0, MAX_RETRY_AFTER_SECONDS)
 
 
 def _name_at(options: Tuple[str, ...], params: Tuple[int, ...], position: int) -> str:
@@ -324,10 +328,7 @@ class ConnectionPool:
         request_timeout: float = 30.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         codec: Optional[str] = None,
-        backoff_base: float = 0.05,
-        backoff_multiplier: float = 2.0,
-        backoff_max: float = 2.0,
-        backoff_jitter: float = 0.25,
+        retry: Optional[RetryPolicy] = None,
         health_check_idle: float = 5.0,
         seed: int = 0,
         client_id: Optional[str] = None,
@@ -345,10 +346,9 @@ class ConnectionPool:
         #: Identity declared to the server via a §11 hello frame on every
         #: fresh connection (None = identified by socket peer host only).
         self.client_id = client_id
-        self.backoff_base = backoff_base
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_max = backoff_max
-        self.backoff_jitter = backoff_jitter
+        #: Reconnect pacing: the pause after the n-th consecutive failed
+        #: connect is ``retry.backoff_seconds(n)``; ``max_rounds`` is unused.
+        self.retry = retry or RetryPolicy(base_delay=0.05, max_delay=2.0)
         self.health_check_idle = health_check_idle
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
@@ -391,18 +391,9 @@ class ConnectionPool:
         except TransportError:
             with self._lock:
                 self._consecutive_failures += 1
-                # Clamp the exponent: past ~2**64 the pause is already
-                # pinned at backoff_max, and an unbounded float power
-                # would overflow after enough rapid failures.
-                exponent = min(self._consecutive_failures - 1, 64)
-                pause = min(
-                    self.backoff_base * self.backoff_multiplier ** exponent,
-                    self.backoff_max,
+                pause = self.retry.backoff_seconds(
+                    self._consecutive_failures, self._rng
                 )
-                pause *= 1.0 + self.backoff_jitter * self._rng.uniform(
-                    -1.0, 1.0
-                )
-                pause = max(0.0, pause)
                 self._blocked_until = time.monotonic() + pause
                 self.stats["connect_failures"] += 1
                 self.stats["backoff_seconds"] += pause
@@ -476,7 +467,7 @@ class ConnectionPool:
         """Hold future requests for ``seconds`` (a server retry-after)."""
         if seconds <= 0:
             return
-        until = time.monotonic() + min(seconds, 30.0)
+        until = time.monotonic() + min(seconds, MAX_RETRY_AFTER_SECONDS)
         with self._lock:
             if until > self._deferred_until:
                 self._deferred_until = until

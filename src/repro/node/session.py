@@ -40,15 +40,18 @@ re-query-on-reorg semantics above become pushed retraction frames.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
+    MAX_RETRY_AFTER_SECONDS,
     BackpressureError,
     EncodingError,
     NoHonestPeerError,
     PeerQuarantinedError,
     QueryError,
+    QueryTimeoutError,
     ReproError,
     RetryExhaustedError,
     SessionTimeoutError,
@@ -68,12 +71,27 @@ from repro.query.verifier import VerifiedHistory
 TransportFactory = Callable[[], object]
 
 
+def _exponential(
+    base: float, multiplier: float, step: int, cap: float = math.inf
+) -> float:
+    """``min(base * multiplier**(step-1), cap)`` for a 1-based ``step``:
+    the node layer's one exponential backoff.  The exponent is clamped
+    at 64, because a float power overflows past ~1025 doublings (a dead
+    endpoint fails that often fast) and 2**64 intervals are forever."""
+    return min(base * multiplier ** min(step - 1, 64), cap)
+
+
 class RetryPolicy:
-    """Exponential backoff with jitter, in simulated seconds.
+    """Exponential backoff with jitter, in seconds (simulated ones in a
+    session, wall-clock ones in a pool or a subscription).
 
     ``max_rounds`` bounds how many times the session sweeps the peer
     list; the sleep before round *r* is
-    ``min(base * multiplier**(r-1), max_delay) * (1 + jitter*U[-1,1])``.
+    ``min(base * multiplier**(r-1), max_delay) * (1 + jitter*U[-1,1])``,
+    with the exponent clamped as :func:`_exponential` says.  A
+    :class:`~repro.node.netclient.ConnectionPool` and a
+    :class:`~repro.node.subscribe.SubscriptionSession` pace their
+    reconnects with the same formula.
     """
 
     __slots__ = ("max_rounds", "base_delay", "multiplier", "max_delay", "jitter")
@@ -88,8 +106,12 @@ class RetryPolicy:
     ) -> None:
         if max_rounds < 1:
             raise ValueError(f"need at least one round, got {max_rounds}")
-        if base_delay < 0 or max_delay < 0 or multiplier < 1 or not (
-            0.0 <= jitter <= 1.0
+        # multiplier <= 1e4 keeps the clamped power finite (1e4**64).
+        if (
+            base_delay < 0
+            or max_delay < 0
+            or not 1 <= multiplier <= 1e4
+            or not 0.0 <= jitter <= 1.0
         ):
             raise ValueError("invalid retry policy parameters")
         self.max_rounds = max_rounds
@@ -100,9 +122,8 @@ class RetryPolicy:
 
     def backoff_seconds(self, round_index: int, rng: random.Random) -> float:
         """Sleep before retry round ``round_index`` (1-based)."""
-        raw = min(
-            self.base_delay * self.multiplier ** (round_index - 1),
-            self.max_delay,
+        raw = _exponential(
+            self.base_delay, self.multiplier, round_index, self.max_delay
         )
         return max(0.0, raw * (1.0 + self.jitter * rng.uniform(-1.0, 1.0)))
 
@@ -223,18 +244,12 @@ class Peer:
     ) -> None:
         self.stats.attempts += 1
         self.stats.transport_failures += 1
-        from repro.errors import QueryTimeoutError
-
         if isinstance(error, QueryTimeoutError):
             self.stats.timeouts += 1
         self.consecutive_failures += 1
         self.score = max(0.01, self.score * 0.5)
-        # Clamp the exponent: a peer that fails thousands of times in a
-        # row (easy against a dead TCP endpoint) must not overflow the
-        # float power — past 2**64 the quarantine is effectively forever
-        # anyway.
-        self.quarantined_until = now + quarantine_base * (
-            2.0 ** min(self.consecutive_failures - 1, 64)
+        self.quarantined_until = now + _exponential(
+            quarantine_base, 2.0, self.consecutive_failures
         )
 
     def record_overload(
@@ -251,7 +266,7 @@ class Peer:
         self.stats.overloads += 1
         wait = error.retry_after if error.retry_after else default_wait
         self.overloaded_until = max(
-            self.overloaded_until, now + min(wait, 30.0)
+            self.overloaded_until, now + min(wait, MAX_RETRY_AFTER_SECONDS)
         )
 
     def record_verification_failure(self, error: Exception) -> None:

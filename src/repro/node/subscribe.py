@@ -734,10 +734,7 @@ class SubscriptionSession:
         return self.max_reconnects is None or reconnects < self.max_reconnects
 
     def _backoff(self, failures: int) -> None:
-        pause = self.retry_policy.backoff_seconds(
-            min(failures, 16), self._rng
-        )
-        self._stop.wait(pause)
+        self._stop.wait(self.retry_policy.backoff_seconds(failures, self._rng))
 
     # -- stream handling ---------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.node.faults import (
     FaultSchedule,
     FaultyTransport,
     FlakyFullNode,
+    plan_frame,
 )
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
@@ -159,6 +160,66 @@ class TestFaultyTransportFaults:
         second = FaultyTransport(schedule=schedule)  # reconnect
         with pytest.raises(RequestTimeoutError):
             second.send_to_server(b"dropped")  # message 1: scripted drop
+
+
+#: An explicit ``param`` per kind (DROP, DUPLICATE and REORDER read none).
+_EXPLICIT_PARAMS = {
+    FaultKind.DELAY: 0.75,
+    FaultKind.DROP: 1.0,
+    FaultKind.TRUNCATE: 5,
+    FaultKind.CORRUPT: 3,
+    FaultKind.DUPLICATE: 1.0,
+    FaultKind.REORDER: 1.0,
+    FaultKind.CLOSE: 7,
+}
+_PARITY_FRAMES = [b"", b"x", bytes(range(9)), bytes(range(40)), b"z" * 200]
+
+
+@pytest.mark.parametrize("seed", [3, 1234])
+@pytest.mark.parametrize("explicit", [True, False], ids=["param", "no-param"])
+@pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+def test_plan_matches_in_process_delivery(kind, explicit, seed):
+    """The rule interpreter's plan is exactly what FaultyTransport does:
+    same counts, same RNG position, same mangled bytes, same cuts."""
+    param = _EXPLICIT_PARAMS[kind] if explicit else None
+
+    def schedule():
+        rule = FaultRule(kind, probability=0.6, param=param)
+        return FaultSchedule([rule], seed=seed)
+
+    planned, delivered = schedule(), schedule()
+    clock = SimulatedClock()
+    for index, frame in enumerate(_PARITY_FRAMES * 2):
+        direction = ("to_server", "to_client")[index % 2]
+        plan = plan_frame(planned, direction, frame)
+        # A fresh transport per frame, as a session reconnects: a CLOSE
+        # kills the inner transport, and REORDER then has nothing stale.
+        transport = FaultyTransport(schedule=delivered, clock=clock)
+        send = getattr(transport, f"send_{direction}")
+        stats = transport.stats
+        started = clock.now()
+        if plan.outcome is FaultKind.CLOSE:
+            with pytest.raises(TransportError):
+                send(frame)
+            assert stats.total_bytes == plan.cut
+            assert plan.cut <= len(frame)
+            continue
+        if plan.outcome is FaultKind.DROP:
+            with pytest.raises(RequestTimeoutError):
+                send(frame)
+            continue
+        assert plan.outcome is None
+        assert send(frame) == plan.frame
+        assert stats.total_bytes == len(plan.frame) * (1 + plan.duplicates)
+        assert clock.now() - started == pytest.approx(sum(plan.delays))
+        if kind is FaultKind.TRUNCATE and frame and plan.frame != frame:
+            assert len(plan.frame) == plan.cut < len(frame)
+        if kind is FaultKind.CORRUPT and frame and plan.frame != frame:
+            assert len(plan.frame) == len(frame)
+    assert planned.fault_counts == delivered.fault_counts
+    assert planned.fault_counts.get(kind.value, 0) > 0
+    assert planned.message_index == delivered.message_index
+    assert planned.rng().getstate() == delivered.rng().getstate()
 
 
 class TestFaultyTransportEndToEnd:

@@ -9,7 +9,9 @@ in-process path raises, and nothing a server says can ever manufacture a
 reserved for proofs failing *local* checks).
 """
 
+import ast
 import asyncio
+import inspect
 import socket
 import threading
 import time
@@ -39,6 +41,7 @@ from repro.node.messages import (
     PongResponse,
     QueryRequest,
 )
+from repro.node import net
 from repro.node.net import FRAME_HEADER, EventLoopThread, NetServer
 from repro.node.netclient import (
     ClientConnection,
@@ -47,6 +50,7 @@ from repro.node.netclient import (
     error_from_frame,
 )
 from repro.node.server import QueryServer
+from repro.node.session import RetryPolicy
 from repro.node.transport import (
     FRAME_RESERVED,
     FRAME_ZLIB,
@@ -652,8 +656,8 @@ def test_pool_backoff_grows_and_blocks():
     pool = ConnectionPool(
         dead_address,
         connect_timeout=0.2,
-        backoff_base=30.0,  # far longer than the test: the block must show
-        backoff_max=60.0,
+        # Far longer than the test: the block must show.
+        retry=RetryPolicy(base_delay=30.0, max_delay=60.0),
         seed=7,
     )
     try:
@@ -677,7 +681,9 @@ def test_pool_evicts_dead_connections_after_server_restart(
     server = NodeServer(full_node, loop_thread=loop_thread)
     server.start()
     address = server.address
-    pool = ConnectionPool(address, backoff_base=0.01, backoff_max=0.05)
+    pool = ConnectionPool(
+        address, retry=RetryPolicy(base_delay=0.01, max_delay=0.05)
+    )
     request = QueryRequest(probe_addresses["Addr4"]).serialize()
     try:
         first = pool.request(request)
@@ -982,3 +988,26 @@ def test_repro_serve_subprocess_lifecycle(tmp_path):
         finally:
             if process.poll() is None:
                 process.kill()
+
+
+def test_net_module_carries_no_chaos_code():
+    """The production server module imports nothing from the fault layer
+    and defines no fault proxy: chaos code lives in ``node/faults.py``."""
+    offending = []
+    for node in ast.walk(ast.parse(inspect.getsource(net))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        offending += [n for n in names if n.startswith("repro.node.faults")]
+        if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and any(
+            word in node.name.lower() for word in ("fault", "chaos", "inject")
+        ):
+            offending.append(node.name)
+    assert offending == []

@@ -30,6 +30,7 @@ scenarios.
 
 import os
 import random
+import socket
 import threading
 import time
 
@@ -49,11 +50,17 @@ from repro.errors import (
     RequestTimeoutError,
     TransportError,
 )
-from repro.node.faults import FaultKind, FaultRule, FaultSchedule
+from repro.node.faults import (
+    FaultKind,
+    FaultRule,
+    FaultSchedule,
+    FaultyTransport,
+    SocketFaultInjector,
+)
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.messages import QueryRequest
-from repro.node.net import EventLoopThread, SocketFaultInjector
+from repro.node.net import FRAME_HEADER, EventLoopThread
 from repro.node.netclient import ConnectionPool, RemoteFullNode
 from repro.node.session import Peer, QuerySession, RetryPolicy
 
@@ -99,8 +106,7 @@ def _query_through_injector(
                 injector.address,
                 size=1,
                 request_timeout=request_timeout,
-                backoff_base=0.01,
-                backoff_max=0.05,
+                retry=RetryPolicy(base_delay=0.01, max_delay=0.05),
             )
             try:
                 return light.query_history(remote, address)
@@ -264,6 +270,63 @@ class TestSocketFaultBehaviors:
         )
 
 
+def test_injector_mangles_frames_like_the_in_process_executor(loop_thread):
+    """One scripted schedule, two executors: the proxy must put on the
+    wire exactly the bytes FaultyTransport delivers, and count the same
+    faults (the truncated frame keeps its full-length header)."""
+    frames = [bytes(range(7, 47)), b"deliver me twice", bytes(range(100))]
+    events = [
+        (0, FaultKind.CORRUPT),
+        (1, FaultKind.DUPLICATE),
+        (2, FaultKind.TRUNCATE),
+    ]
+    in_process = FaultSchedule.scripted(events, seed=5)
+    transport = FaultyTransport(schedule=in_process)
+    delivered = [transport.send_to_server(frame) for frame in frames]
+    expected = b"".join(
+        FRAME_HEADER.pack(len(frame)) + body
+        for frame, body in zip(
+            [frames[0], frames[1], frames[1], frames[2]],
+            [delivered[0], delivered[1], delivered[1], delivered[2]],
+        )
+    )
+
+    received = bytearray()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def capture():
+        connection, _ = listener.accept()
+        with connection:
+            connection.settimeout(5.0)
+            while chunk := connection.recv(65536):
+                received.extend(chunk)
+
+    thread = threading.Thread(target=capture)
+    thread.start()
+    on_socket = FaultSchedule.scripted(events, seed=5)
+    try:
+        with SocketFaultInjector(
+            listener.getsockname(), on_socket, loop_thread=loop_thread
+        ) as injector:
+            with socket.create_connection(injector.address, 5.0) as client:
+                client.sendall(
+                    b"".join(FRAME_HEADER.pack(len(f)) + f for f in frames)
+                )
+                thread.join(5.0)
+                assert client.recv(1) == b"", "the cut must end the link"
+    finally:
+        thread.join(5.0)
+        listener.close()
+    assert delivered[0] != frames[0] and len(delivered[2]) < len(frames[2])
+    assert bytes(received) == expected
+    assert on_socket.fault_counts == in_process.fault_counts == {
+        "corrupt": 1,
+        "duplicate": 1,
+        "truncate": 1,
+    }
+
+
 # ---------------------------------------------------------------------------
 # the PR 2 chaos matrix, over real loopback TCP
 
@@ -288,8 +351,7 @@ def _socketify(session, loop_thread):
             server.address,
             size=2,
             request_timeout=10.0,
-            backoff_base=0.005,
-            backoff_max=0.05,
+            retry=RetryPolicy(base_delay=0.005, max_delay=0.05),
         )
         peer.node = remote
         servers.append(server)
@@ -374,8 +436,7 @@ def test_kill_server_mid_request_no_unverified_answers(
             address_tuple,
             size=1,
             request_timeout=2.0,
-            backoff_base=0.005,
-            backoff_max=0.05,
+            retry=RetryPolicy(base_delay=0.005, max_delay=0.05),
             seed=worker_index,
         )
         session = QuerySession(

@@ -64,6 +64,23 @@ class TestRetryPolicy:
             pause = policy.backoff_seconds(1, rng)
             assert 0.75 <= pause <= 1.25
 
+    def test_backoff_is_capped_at_any_round(self):
+        """A session with thousands of rounds sleeps at most the cap; the
+        power of the multiplier must not overflow past round 1025."""
+        import random
+
+        policy = RetryPolicy(max_rounds=5000)
+        rng = random.Random(3)
+        ceiling = policy.max_delay * (1.0 + policy.jitter)
+        for round_index in (1026, 1100, 4999, 5000):
+            pause = policy.backoff_seconds(round_index, rng)
+            assert policy.max_delay * (1.0 - policy.jitter) <= pause
+            assert pause <= ceiling
+        steep = RetryPolicy(multiplier=1e4, max_delay=5.0, jitter=0.0)
+        assert steep.backoff_seconds(5000, rng) == 5.0
+        with pytest.raises(ValueError):
+            RetryPolicy(multiplier=1e5)  # its power would overflow
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_rounds=0)

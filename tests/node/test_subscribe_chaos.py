@@ -24,10 +24,15 @@ import pytest
 from netserve import NodeServer
 from test_subscribe_net import _build, _serve, _truth_histories, _txids
 
-from repro.node.faults import FaultKind, FaultRule, FaultSchedule
+from repro.node.faults import (
+    FaultKind,
+    FaultRule,
+    FaultSchedule,
+    SocketFaultInjector,
+)
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
-from repro.node.net import EventLoopThread, SocketFaultInjector
+from repro.node.net import EventLoopThread
 from repro.node.session import RetryPolicy
 from repro.node.subscribe import SubscriptionRegistry, SubscriptionSession
 from repro.wallet import Wallet
