@@ -97,14 +97,17 @@ def classify(payload: bytes) -> int:
     it never changes what verifies.
     """
     tag = payload[0]
-    if tag == _messages._MSG_QUERY_REQUEST:
+    if tag == _messages.QueryRequest.type_tag:
         return classify_query(payload)[0]
     if tag in (
-        _messages._MSG_HEADERS_REQUEST,
-        _messages._MSG_DELTA_HEADERS_REQUEST,
+        _messages.HeadersRequest.type_tag,
+        _messages.DeltaHeadersRequest.type_tag,
     ):
         return PRIO_SYNC
-    if tag in (_messages._MSG_BATCH_REQUEST, _messages._MSG_AGG_BATCH_REQUEST):
+    if tag in (
+        _messages.BatchQueryRequest.type_tag,
+        _messages.AggregatedBatchRequest.type_tag,
+    ):
         return PRIO_BATCH
     return PRIO_INTERACTIVE
 

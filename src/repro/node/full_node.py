@@ -33,6 +33,12 @@ import weakref
 
 from repro.errors import QueryError
 from repro.node.messages import (
+    AggregatedBatchRequest,
+    AggregatedBatchResponse,
+    BatchQueryRequest,
+    BatchQueryResponse,
+    DeltaHeadersRequest,
+    DeltaHeadersResponse,
     HeadersRequest,
     HeadersResponse,
     QueryRequest,
@@ -167,22 +173,14 @@ class FullNode:
         )
 
     def handle_batch_query(self, payload: bytes) -> bytes:
-        from repro.node.messages import (
-            _MSG_AGG_BATCH_REQUEST,
-            AggregatedBatchRequest,
-            AggregatedBatchResponse,
-            BatchQueryRequest,
-            BatchQueryResponse,
-        )
-
         # The request tag selects the response encoding: the aggregated
         # tag asks for the blob-table form (§8.1), the plain tag for the
         # PR 5 per-fragment form, kept as the byte-equivalence oracle.
-        aggregated = bool(payload) and payload[0] == _MSG_AGG_BATCH_REQUEST
+        aggregated = (
+            bool(payload) and payload[0] == AggregatedBatchRequest.type_tag
+        )
         request_cls = AggregatedBatchRequest if aggregated else BatchQueryRequest
         request = request_cls.deserialize(payload)
-        if not request.addresses:
-            raise QueryError("batch query request carries no addresses")
         if any(not address for address in request.addresses):
             raise QueryError("empty address in batch query request")
         last = request.last_height if request.last_height else None
@@ -204,13 +202,7 @@ class FullNode:
         )
 
     def handle_headers(self, payload: bytes) -> bytes:
-        from repro.node.messages import (
-            _MSG_DELTA_HEADERS_REQUEST,
-            DeltaHeadersRequest,
-            DeltaHeadersResponse,
-        )
-
-        delta = bool(payload) and payload[0] == _MSG_DELTA_HEADERS_REQUEST
+        delta = bool(payload) and payload[0] == DeltaHeadersRequest.type_tag
         request_cls = DeltaHeadersRequest if delta else HeadersRequest
         request = request_cls.deserialize(payload)
         response_cls = DeltaHeadersResponse if delta else HeadersResponse

@@ -5,46 +5,59 @@ a full-node server; the communication cost it reports is the size of the
 response.  These message classes give that cost a concrete wire form: a
 one-byte type tag plus a length-exact payload.  The transport layer counts
 ``len(message.serialize())`` per direction.
+
+Each plain-field message is declared once, as data: a :class:`Message`
+subclass sets ``type_tag`` and ``fields``, an ordered tuple of ``(name,
+kind)`` or ``(name, kind, default)``.  A kind — :class:`Varint`,
+:class:`Utf8`, :class:`VarBytes`, :class:`ListOf` or :class:`Header` —
+says how the field is written and read and carries its value bound
+(``min=``, ``nonempty=``, ``max_bytes=``, list ``min=``/``max=``).  One
+interpreter, :class:`Message`, reads the declaration and provides the
+slots, a validating ``__init__``, ``serialize`` and ``deserialize``;
+because the constructor and the decoder check the same declared bound,
+a frame the encoder writes is one the decoder accepts.  Decoding is
+strict: tag checked, length-exact, trailing bytes refused, and every
+failure an :class:`~repro.errors.EncodingError`.
+
+To add a message: pick an unassigned tag (PROTOCOL.md §3 lists them),
+declare its fields, put any rule that spans fields in a ``_check``
+method, write its layout line in PROTOCOL.md §3 (a test renders the
+declaration and fails when the two differ), and add a golden vector in
+``tests/vectors/make_vectors.py``.  Only two shapes keep hand codecs:
+the proof-carrying responses, whose body codec lives beside the proof
+types (:class:`_ProofResponse`), and :class:`DeltaHeadersResponse`,
+whose delta encoding is not field-shaped.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.chain.block import BlockHeader, deserialize_extension
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
 from repro.crypto.hashing import HASH_SIZE
-from repro.errors import EncodingError
+from repro.errors import (
+    MAX_RETRY_AFTER_SECONDS,
+    BackpressureError,
+    ChainError,
+    ConnectionLimitError,
+    EncodingError,
+    QueryError,
+    RateLimitedError,
+    RequestShedError,
+    ServerOverloadedError,
+    SubscriberEvictedError,
+    TransportError,
+)
+from repro.query.aggregate import decode_aggregated_batch, encode_aggregated_batch
+from repro.query.batch import BatchQueryResult
 from repro.query.config import SystemConfig
 from repro.query.result import QueryResult
 
 if TYPE_CHECKING:
     from repro.query.memo import VerifierMemo
-
-_MSG_QUERY_REQUEST = 1
-_MSG_QUERY_RESPONSE = 2
-_MSG_HEADERS_REQUEST = 3
-_MSG_HEADERS_RESPONSE = 4
-_MSG_BATCH_REQUEST = 5
-_MSG_BATCH_RESPONSE = 6
-_MSG_DELTA_HEADERS_REQUEST = 7
-_MSG_DELTA_HEADERS_RESPONSE = 8
-_MSG_AGG_BATCH_REQUEST = 9
-_MSG_AGG_BATCH_RESPONSE = 10
-_MSG_ERROR = 11
-_MSG_PING = 12
-_MSG_PONG = 13
-# Subscription tags start at 0x14: 0x0e-0x13 are left unassigned so the
-# compression frame markers (0x10/0x11, transport.py) and room around
-# them can never be mistaken for a message tag on first-byte dispatch.
-_MSG_SUBSCRIBE_REQUEST = 20
-_MSG_SUBSCRIBE_ACK = 21
-_MSG_UNSUBSCRIBE_REQUEST = 22
-_MSG_PUSH_UPDATE = 23
-_MSG_PUSH_RETRACTION = 24
-_MSG_SUBSCRIPTION_EVICTED = 25
-_MSG_HELLO = 26
 
 #: Wire encodings for RequestShedError params (PROTOCOL.md §11.3): the
 #: priority class and shed state ride as indices into these tuples so a
@@ -52,16 +65,283 @@ _MSG_HELLO = 26
 SHED_PRIORITIES = ("interactive", "sync", "batch", "backfill")
 SHED_STATES = ("normal", "shed_batch", "shed_low", "shed_all")
 
+#: Hard bound on a declared client id: identity is an accounting key,
+#: not a payload — a hostile peer must not stuff kilobytes into it.
+MAX_CLIENT_ID_BYTES = 64
 
-def _zigzag(n: int) -> int:
-    return (n << 1) if n >= 0 else ((-n << 1) - 1)
+#: Hard bound on watch-set size: large enough for any wallet, small
+#: enough that a hostile subscribe cannot make the server build
+#: megaframe updates on every append.
+MAX_WATCH_ADDRESSES = 1024
+
+#: Plausibility bounds on a batch request and on a header list.
+MAX_BATCH_ADDRESSES = 10_000
+MAX_HEADERS = 100_000_000
+
+#: The largest integer a CompactSize varint carries.
+MAX_VARINT = 0xFFFF_FFFF_FFFF_FFFF
 
 
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if not (z & 1) else -((z + 1) >> 1)
+# -- field kinds -------------------------------------------------------------
 
 
-class QueryRequest:
+def _unchecked(value):
+    return value
+
+
+class Varint:
+    """``varint(name)``: a CompactSize integer, ``min..MAX_VARINT``."""
+
+    __slots__ = ("min",)
+
+    def __init__(self, min: int = 0) -> None:
+        self.min = min
+
+    def check(self, value):
+        if not isinstance(value, int) or not self.min <= value <= MAX_VARINT:
+            raise EncodingError(
+                f"{value!r} is not an integer in {self.min}..{MAX_VARINT}"
+            )
+        return value
+
+    def read(self, reader: ByteReader, context: tuple) -> int:
+        value = reader.varint()
+        if value < self.min:
+            raise EncodingError(f"{value} is below {self.min}")
+        return value
+
+    write = staticmethod(write_varint)
+
+
+class VarBytes:
+    """``var_bytes(name)``: length-prefixed raw bytes, optionally
+    non-empty and at most ``max_bytes`` long."""
+
+    __slots__ = ("nonempty", "max_bytes")
+
+    def __init__(self, nonempty: bool = False, max_bytes: Optional[int] = None) -> None:
+        self.nonempty = nonempty
+        self.max_bytes = max_bytes
+
+    def sized(self, raw: bytes) -> bytes:
+        if self.nonempty and not raw:
+            raise EncodingError("must not be empty")
+        if self.max_bytes is not None and len(raw) > self.max_bytes:
+            raise EncodingError(f"exceeds {self.max_bytes} bytes")
+        return raw
+
+    def check(self, value):
+        if not isinstance(value, (bytes, bytearray)):
+            raise EncodingError(f"{type(value).__name__} is not bytes")
+        return self.sized(value)
+
+    def read(self, reader: ByteReader, context: tuple) -> bytes:
+        return self.sized(reader.var_bytes())
+
+    write = staticmethod(write_var_bytes)
+
+
+class Utf8(VarBytes):
+    """``var_bytes(name)`` holding UTF-8 text; the bounds count bytes."""
+
+    __slots__ = ()
+
+    def check(self, value):
+        if not isinstance(value, str):
+            raise EncodingError(f"{type(value).__name__} is not text")
+        if self.max_bytes is not None:
+            self.sized(value.encode("utf-8"))
+        elif self.nonempty and not value:
+            raise EncodingError("must not be empty")
+        return value
+
+    def read(self, reader: ByteReader, context: tuple) -> str:
+        raw = self.sized(reader.var_bytes())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"not UTF-8: {exc}") from exc
+
+    def write(self, value: str) -> bytes:
+        return write_var_bytes(value.encode("utf-8"))
+
+
+class Header:
+    """``var_bytes(header)``: one full §2 block header.  Decoding takes
+    the chain's ``(extension_kind, bloom_bytes)`` as its context."""
+
+    __slots__ = ()
+
+    # A header is a typed object the chain or a decoder built; there is
+    # no bound to check, and a list of them is not walked to check it.
+    check = staticmethod(_unchecked)
+
+    def read(self, reader: ByteReader, context: tuple) -> BlockHeader:
+        header_reader = ByteReader(reader.var_bytes())
+        header = BlockHeader.deserialize(header_reader, *context)
+        header_reader.finish()
+        return header
+
+    def write(self, header: BlockHeader) -> bytes:
+        return write_var_bytes(header.serialize())
+
+
+class ListOf:
+    """``varint(n) || n × item``, with ``min <= n <= max``.  The count is
+    bounded before any item is read, so a frame claiming a huge list
+    costs nothing but its own bytes."""
+
+    __slots__ = ("item", "min", "max")
+
+    def __init__(self, item, *, min: int = 0, max: int) -> None:
+        self.item = item
+        self.min = min
+        self.max = max
+
+    def counted(self, count: int) -> int:
+        if not self.min <= count <= self.max:
+            raise EncodingError(f"{count} items, not {self.min}..{self.max}")
+        return count
+
+    def check(self, values):
+        if not isinstance(values, (list, tuple)):
+            raise EncodingError(f"{type(values).__name__} is not a list")
+        self.counted(len(values))
+        check = self.item.check
+        if check is not _unchecked:
+            for value in values:
+                check(value)
+        return values
+
+    def read(self, reader: ByteReader, context: tuple) -> list:
+        item = self.item
+        return [
+            item.read(reader, context)
+            for _ in range(self.counted(reader.varint()))
+        ]
+
+    def write(self, values) -> bytes:
+        write = self.item.write
+        return write_varint(len(values)) + b"".join([write(v) for v in values])
+
+
+# -- the interpreter ---------------------------------------------------------
+
+
+def _expect_tag(payload: bytes, tag: int) -> ByteReader:
+    """A reader past ``payload``'s first byte, which must be ``tag``."""
+    reader = ByteReader(payload)
+    actual = reader.bytes(1)[0]
+    if actual != tag:
+        raise EncodingError(f"expected message tag {tag}, got {actual}")
+    return reader
+
+
+class _Declared(type):
+    """Reads a message's ``fields`` when its class is created: slots
+    named after the fields, the ``(name, kind)`` layout the codec walks,
+    and the constructor signature with its defaults.  A subclass that
+    only changes ``type_tag`` keeps its parent's layout."""
+
+    def __new__(mcls, name, bases, namespace):
+        declared = namespace.get("fields", ())
+        namespace["__slots__"] = tuple(field[0] for field in declared)
+        cls = super().__new__(mcls, name, bases, namespace)
+        if "fields" in namespace:
+            cls._layout = tuple((field[0], field[1]) for field in declared)
+            cls.__signature__ = inspect.Signature(
+                [
+                    inspect.Parameter(
+                        field[0],
+                        inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                        default=field[2] if len(field) > 2 else inspect.Parameter.empty,
+                    )
+                    for field in declared
+                ]
+            )
+        return cls
+
+
+class Message(metaclass=_Declared):
+    """The one codec for every declared message (see the module doc)."""
+
+    fields: tuple = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._layout):
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        try:
+            for (name, kind), value in zip(self._layout, args):
+                setattr(self, name, kind.check(value))
+        except EncodingError as exc:
+            raise EncodingError(f"{type(self).__name__}.{name}: {exc}") from exc
+        if self._check is not None:
+            self._check()
+
+    #: Rules that span fields: a method that raises
+    #: :class:`EncodingError`, or None for a message that has none.
+    _check = None
+
+    @staticmethod
+    def _context() -> tuple:
+        """Binds ``deserialize``'s extra arguments into the context every
+        kind's ``read`` receives; only header lists take one."""
+        return ()
+
+    def serialize(self) -> bytes:
+        return bytes([self.type_tag]) + b"".join(
+            [kind.write(getattr(self, name)) for name, kind in self._layout]
+        )
+
+    @classmethod
+    def deserialize(cls, payload: bytes, *args, **kwargs):
+        context = cls._context(*args, **kwargs) if args or kwargs else ()
+        reader = _expect_tag(payload, cls.type_tag)
+        message = cls.__new__(cls)
+        try:
+            for name, kind in cls._layout:
+                setattr(message, name, kind.read(reader, context))
+        except EncodingError as exc:
+            raise EncodingError(f"{cls.__name__}.{name}: {exc}") from exc
+        reader.finish()
+        if message._check is not None:
+            message._check()
+        return message
+
+
+class _ProofResponse:
+    """A tag byte, then a proof body whose codec lives beside the proof
+    types (PROTOCOL.md §4, §8.1).  A subclass's one slot holds the body;
+    its ``_decode`` (and, unless the body serializes itself, its
+    ``_encode``) is the body codec."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _encode(body, config: SystemConfig) -> bytes:
+        return body.serialize(config)
+
+    def serialize(self, config: SystemConfig) -> bytes:
+        body = getattr(self, self.__slots__[0])
+        return bytes([self.type_tag]) + self._encode(body, config)
+
+    @classmethod
+    def deserialize(
+        cls,
+        payload: bytes,
+        config: SystemConfig,
+        memo: "Optional[VerifierMemo]" = None,
+    ):
+        _expect_tag(payload, cls.type_tag)
+        return cls(cls._decode(payload[1:], config, memo=memo))
+
+
+# -- messages ----------------------------------------------------------------
+
+
+class QueryRequest(Message):
     """Light → full: "send me the verifiable history of this address".
 
     ``first_height``/``last_height`` optionally restrict the query to a
@@ -69,204 +349,71 @@ class QueryRequest:
     cross-checks the answered range against its own headers).
     """
 
-    __slots__ = ("address", "first_height", "last_height")
-
-    type_tag = _MSG_QUERY_REQUEST
-
-    def __init__(
-        self, address: str, first_height: int = 1, last_height: int = 0
-    ) -> None:
-        if first_height < 1 or last_height < 0:
-            raise EncodingError(
-                f"bad query range [{first_height},{last_height}]"
-            )
-        self.address = address
-        self.first_height = first_height
-        self.last_height = last_height
-
-    def serialize(self) -> bytes:
-        return (
-            bytes([self.type_tag])
-            + write_var_bytes(self.address.encode("utf-8"))
-            + write_varint(self.first_height)
-            + write_varint(self.last_height)
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "QueryRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        address = _utf8(reader.var_bytes())
-        first_height = reader.varint()
-        last_height = reader.varint()
-        reader.finish()
-        return cls(address, first_height, last_height)
+    type_tag = 0x01
+    fields = (
+        ("address", Utf8()),
+        ("first_height", Varint(min=1), 1),
+        ("last_height", Varint(), 0),
+    )
 
 
-class QueryResponse:
+class QueryResponse(_ProofResponse):
     """Full → light: the complete :class:`QueryResult`."""
 
     __slots__ = ("result",)
 
-    type_tag = _MSG_QUERY_RESPONSE
+    type_tag = 0x02
+    _decode = QueryResult.deserialize
 
     def __init__(self, result: QueryResult) -> None:
         self.result = result
 
-    def serialize(self, config: SystemConfig) -> bytes:
-        return bytes([self.type_tag]) + self.result.serialize(config)
 
-    @classmethod
-    def deserialize(
-        cls,
-        payload: bytes,
-        config: SystemConfig,
-        memo: "Optional[VerifierMemo]" = None,
-    ) -> "QueryResponse":
-        if not payload or payload[0] != cls.type_tag:
-            raise EncodingError("not a query response")
-        return cls(QueryResult.deserialize(payload[1:], config, memo=memo))
-
-
-class BatchQueryRequest:
+class BatchQueryRequest(Message):
     """Light → full: verifiable histories for several addresses at once."""
 
-    __slots__ = ("addresses", "first_height", "last_height")
-
-    type_tag = _MSG_BATCH_REQUEST
-
-    def __init__(
-        self,
-        addresses: "List[str]",
-        first_height: int = 1,
-        last_height: int = 0,
-    ) -> None:
-        if not addresses:
-            raise EncodingError("batch request needs at least one address")
-        if first_height < 1 or last_height < 0:
-            raise EncodingError(
-                f"bad query range [{first_height},{last_height}]"
-            )
-        self.addresses = addresses
-        self.first_height = first_height
-        self.last_height = last_height
-
-    def serialize(self) -> bytes:
-        parts = [bytes([self.type_tag]), write_varint(len(self.addresses))]
-        parts.extend(
-            write_var_bytes(address.encode("utf-8"))
-            for address in self.addresses
-        )
-        parts.append(write_varint(self.first_height))
-        parts.append(write_varint(self.last_height))
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "BatchQueryRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        count = reader.varint()
-        if count == 0 or count > 10_000:
-            raise EncodingError(f"implausible batch size {count}")
-        addresses = [_utf8(reader.var_bytes()) for _ in range(count)]
-        first_height = reader.varint()
-        last_height = reader.varint()
-        reader.finish()
-        return cls(addresses, first_height, last_height)
+    type_tag = 0x05
+    fields = (
+        ("addresses", ListOf(Utf8(), min=1, max=MAX_BATCH_ADDRESSES)),
+        ("first_height", Varint(min=1), 1),
+        ("last_height", Varint(), 0),
+    )
 
 
-class BatchQueryResponse:
+class BatchQueryResponse(_ProofResponse):
     """Full → light: one :class:`BatchQueryResult` for the whole request."""
 
     __slots__ = ("batch",)
 
-    type_tag = _MSG_BATCH_RESPONSE
+    type_tag = 0x06
+    _decode = BatchQueryResult.deserialize
 
     def __init__(self, batch) -> None:
         self.batch = batch
 
-    def serialize(self, config: SystemConfig) -> bytes:
-        return bytes([self.type_tag]) + self.batch.serialize(config)
 
-    @classmethod
-    def deserialize(
-        cls,
-        payload: bytes,
-        config: SystemConfig,
-        memo: "Optional[VerifierMemo]" = None,
-    ) -> "BatchQueryResponse":
-        from repro.query.batch import BatchQueryResult
-
-        if not payload or payload[0] != cls.type_tag:
-            raise EncodingError("not a batch query response")
-        return cls(BatchQueryResult.deserialize(payload[1:], config, memo=memo))
-
-
-class HeadersRequest:
+class HeadersRequest(Message):
     """Light → full: "send headers from this height on" (initial sync)."""
 
-    __slots__ = ("from_height",)
-
-    type_tag = _MSG_HEADERS_REQUEST
-
-    def __init__(self, from_height: int = 0) -> None:
-        if from_height < 0:
-            raise EncodingError(f"negative height {from_height}")
-        self.from_height = from_height
-
-    def serialize(self) -> bytes:
-        return bytes([self.type_tag]) + write_varint(self.from_height)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "HeadersRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        from_height = reader.varint()
-        reader.finish()
-        return cls(from_height)
+    type_tag = 0x03
+    fields = (("from_height", Varint(), 0),)
 
 
-class HeadersResponse:
+#: One full header, and a header list; the delta response bounds its
+#: count and writes its first header with the same two objects.
+_HEADER = Header()
+_HEADERS = ListOf(_HEADER, max=MAX_HEADERS)
+
+
+class HeadersResponse(Message):
     """Full → light: consecutive headers (the light node's whole storage)."""
 
-    __slots__ = ("from_height", "headers")
+    type_tag = 0x04
+    fields = (("from_height", Varint()), ("headers", _HEADERS))
 
-    type_tag = _MSG_HEADERS_RESPONSE
-
-    def __init__(self, from_height: int, headers: List[BlockHeader]) -> None:
-        self.from_height = from_height
-        self.headers = headers
-
-    def serialize(self) -> bytes:
-        parts = [
-            bytes([self.type_tag]),
-            write_varint(self.from_height),
-            write_varint(len(self.headers)),
-        ]
-        parts.extend(
-            write_var_bytes(header.serialize()) for header in self.headers
-        )
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(
-        cls, payload: bytes, extension_kind: int, bloom_bytes: int = 0
-    ) -> "HeadersResponse":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        from_height = reader.varint()
-        count = reader.varint()
-        if count > 100_000_000:
-            raise EncodingError(f"implausible header count {count}")
-        headers = []
-        for _ in range(count):
-            header_reader = ByteReader(reader.var_bytes())
-            headers.append(
-                BlockHeader.deserialize(header_reader, extension_kind, bloom_bytes)
-            )
-            header_reader.finish()
-        reader.finish()
-        return cls(from_height, headers)
+    @staticmethod
+    def _context(extension_kind: int, bloom_bytes: int = 0) -> tuple:
+        return (extension_kind, bloom_bytes)
 
 
 class DeltaHeadersRequest(HeadersRequest):
@@ -277,7 +424,15 @@ class DeltaHeadersRequest(HeadersRequest):
     an old server simply rejects the unknown tag.
     """
 
-    type_tag = _MSG_DELTA_HEADERS_REQUEST
+    type_tag = 0x07
+
+
+def _zigzag(n: int) -> int:
+    return (n << 1) if n >= 0 else ((-n << 1) - 1)
+
+
+def _unzigzag(z: int) -> int:
+    return (z >> 1) if not (z & 1) else -((z + 1) >> 1)
 
 
 class DeltaHeadersResponse:
@@ -293,7 +448,7 @@ class DeltaHeadersResponse:
 
     __slots__ = ("from_height", "headers")
 
-    type_tag = _MSG_DELTA_HEADERS_RESPONSE
+    type_tag = 0x08
 
     def __init__(self, from_height: int, headers: List[BlockHeader]) -> None:
         self.from_height = from_height
@@ -308,7 +463,7 @@ class DeltaHeadersResponse:
         previous = None
         for header in self.headers:
             if previous is None:
-                parts.append(write_var_bytes(header.serialize()))
+                parts.append(_HEADER.write(header))
             else:
                 if header.prev_hash != previous.block_id():
                     raise EncodingError(
@@ -329,21 +484,14 @@ class DeltaHeadersResponse:
     def deserialize(
         cls, payload: bytes, extension_kind: int, bloom_bytes: int = 0
     ) -> "DeltaHeadersResponse":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
+        reader = _expect_tag(payload, cls.type_tag)
         from_height = reader.varint()
-        count = reader.varint()
-        if count > 100_000_000:
-            raise EncodingError(f"implausible header count {count}")
+        count = _HEADERS.counted(reader.varint())
         headers: List[BlockHeader] = []
         previous = None
         for _ in range(count):
             if previous is None:
-                header_reader = ByteReader(reader.var_bytes())
-                previous = BlockHeader.deserialize(
-                    header_reader, extension_kind, bloom_bytes
-                )
-                header_reader.finish()
+                previous = _HEADER.read(reader, (extension_kind, bloom_bytes))
             else:
                 version = reader.varint()
                 timestamp = previous.timestamp + _unzigzag(reader.varint())
@@ -376,41 +524,100 @@ class AggregatedBatchRequest(BatchQueryRequest):
     response format (§8.1).
     """
 
-    type_tag = _MSG_AGG_BATCH_REQUEST
+    type_tag = 0x09
 
 
-class AggregatedBatchResponse:
+class AggregatedBatchResponse(_ProofResponse):
     """Full → light: a :class:`BatchQueryResult` in blob-table form."""
 
     __slots__ = ("batch",)
 
-    type_tag = _MSG_AGG_BATCH_RESPONSE
+    type_tag = 0x0A
+    _encode = staticmethod(encode_aggregated_batch)
+    _decode = staticmethod(decode_aggregated_batch)
 
     def __init__(self, batch) -> None:
         self.batch = batch
 
-    def serialize(self, config: SystemConfig) -> bytes:
-        from repro.query.aggregate import encode_aggregated_batch
 
-        return bytes([self.type_tag]) + encode_aggregated_batch(
-            self.batch, config
-        )
-
-    @classmethod
-    def deserialize(
-        cls,
-        payload: bytes,
-        config: SystemConfig,
-        memo: "Optional[VerifierMemo]" = None,
-    ) -> "AggregatedBatchResponse":
-        from repro.query.aggregate import decode_aggregated_batch
-
-        if not payload or payload[0] != cls.type_tag:
-            raise EncodingError("not an aggregated batch response")
-        return cls(decode_aggregated_batch(payload[1:], config, memo=memo))
+# -- typed errors ------------------------------------------------------------
 
 
-class ErrorResponse:
+def _retry_ms(error: BackpressureError) -> int:
+    # Wire params are non-negative varints; the retry-after hint rides
+    # as integer milliseconds (0 = no hint), rounded up so a client
+    # honouring it never comes back early.
+    if error.retry_after is None or error.retry_after <= 0:
+        return 0
+    return math.ceil(error.retry_after * 1000.0)
+
+
+def _retry_seconds(params: "tuple[int, ...]", position: int) -> "float | None":
+    """Decode a retry-after-milliseconds wire param (0 / absent = none),
+    clamped so a hostile hint cannot park a client for hours."""
+    if len(params) <= position or params[position] <= 0:
+        return None
+    return min(params[position] / 1000.0, MAX_RETRY_AFTER_SECONDS)
+
+
+def _at(params: "tuple[int, ...]", position: int, default: int = 0) -> int:
+    return params[position] if len(params) > position else default
+
+
+def _index(options: "tuple[str, ...]", name: str) -> int:
+    # An unknown name rides out of range, and rebuilds as "unknown".
+    return options.index(name) if name in options else len(options)
+
+
+def _name_at(options: "tuple[str, ...]", params: "tuple[int, ...]", position: int) -> str:
+    index = _at(params, position, len(options))
+    return options[index] if index < len(options) else "unknown"
+
+
+#: The error kinds whose params carry fields (PROTOCOL.md §11.4), both
+#: directions in one row: ``class: (exception → params, params →
+#: exception)``.  Every param is an optional suffix, so an older,
+#: shorter frame still rebuilds.
+_ERROR_PARAMS = {
+    ServerOverloadedError: (
+        lambda error: (error.pending, error.max_pending, _retry_ms(error)),
+        lambda p: ServerOverloadedError(_at(p, 0), _at(p, 1), _retry_seconds(p, 2)),
+    ),
+    ConnectionLimitError: (
+        lambda error: (error.active, error.max_connections, _retry_ms(error)),
+        lambda p: ConnectionLimitError(_at(p, 0), _at(p, 1), _retry_seconds(p, 2)),
+    ),
+    RateLimitedError: (
+        lambda error: (_retry_ms(error),),
+        lambda p: RateLimitedError("self", _retry_seconds(p, 0)),
+    ),
+    RequestShedError: (
+        lambda error: (
+            _index(SHED_PRIORITIES, error.priority),
+            _index(SHED_STATES, error.state),
+            _retry_ms(error),
+        ),
+        lambda p: RequestShedError(
+            _name_at(SHED_PRIORITIES, p, 0),
+            _name_at(SHED_STATES, p, 1),
+            _retry_seconds(p, 2),
+        ),
+    ),
+    SubscriberEvictedError: (
+        lambda error: (error.subscription_id, error.dropped_frames),
+        lambda p: SubscriberEvictedError(_at(p, 0, 1), _at(p, 1)),
+    ),
+}
+
+#: Param-less kinds a client also rebuilds, from the message alone.
+#: Only *benign* kinds are rebuilt at all — a malicious server naming
+#: anything else (or inventing kinds) degrades to a generic
+#: :class:`TransportError`, which can deny service but never influence
+#: what verifies.
+_PLAIN_ERRORS = (EncodingError, QueryError, ChainError, TransportError)
+
+
+class ErrorResponse(Message):
     """Server → client: a typed failure instead of a result frame (§9).
 
     In-process, a handler failure propagates as a Python exception; over
@@ -422,92 +629,48 @@ class ErrorResponse:
     error that peer scoring and retry machinery already classify.
     """
 
-    __slots__ = ("kind", "message", "params")
+    type_tag = 0x0B
+    fields = (
+        ("kind", Utf8(nonempty=True)),
+        ("message", Utf8()),
+        ("params", ListOf(Varint(), max=16), ()),
+    )
 
-    type_tag = _MSG_ERROR
-
-    def __init__(
-        self, kind: str, message: str, params: "tuple[int, ...]" = ()
-    ) -> None:
-        if not kind:
-            raise EncodingError("error frame needs a kind")
-        params = tuple(int(value) for value in params)
-        if any(value < 0 for value in params):
-            raise EncodingError(f"negative error param in {params}")
-        self.kind = kind
-        self.message = message
-        self.params = params
+    def _check(self) -> None:
+        # Params are a tuple on the instance, whatever sequence built them.
+        self.params = tuple(self.params)
 
     @classmethod
     def from_exception(cls, error: Exception) -> "ErrorResponse":
-        from repro.errors import (
-            BackpressureError,
-            ConnectionLimitError,
-            RateLimitedError,
-            RequestShedError,
-            ServerOverloadedError,
-            SubscriberEvictedError,
-        )
-
-        def _retry_ms(err: BackpressureError) -> int:
-            # Wire params are non-negative varints; the retry-after hint
-            # rides as integer milliseconds (0 = no hint), rounded up so
-            # a client honouring it never comes back early.
-            if err.retry_after is None or err.retry_after <= 0:
-                return 0
-            return math.ceil(err.retry_after * 1000.0)
-
-        def _index(options: "tuple[str, ...]", name: str) -> int:
-            try:
-                return options.index(name)
-            except ValueError:
-                return len(options)  # out-of-range = "unknown" on rebuild
-
-        params: "tuple[int, ...]" = ()
-        if isinstance(error, ServerOverloadedError):
-            params = (error.pending, error.max_pending, _retry_ms(error))
-        elif isinstance(error, ConnectionLimitError):
-            params = (error.active, error.max_connections, _retry_ms(error))
-        elif isinstance(error, RateLimitedError):
-            params = (_retry_ms(error),)
-        elif isinstance(error, RequestShedError):
-            params = (
-                _index(SHED_PRIORITIES, error.priority),
-                _index(SHED_STATES, error.state),
-                _retry_ms(error),
-            )
-        elif isinstance(error, SubscriberEvictedError):
-            params = (error.subscription_id, error.dropped_frames)
-        return cls(type(error).__name__, str(error), params)
-
-    def serialize(self) -> bytes:
-        parts = [
-            bytes([self.type_tag]),
-            write_var_bytes(self.kind.encode("utf-8")),
-            write_var_bytes(self.message.encode("utf-8")),
-            write_varint(len(self.params)),
-        ]
-        parts.extend(write_varint(value) for value in self.params)
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "ErrorResponse":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        kind = _utf8(reader.var_bytes())
-        message = _utf8(reader.var_bytes())
-        count = reader.varint()
-        if count > 16:
-            raise EncodingError(f"implausible error param count {count}")
-        params = tuple(reader.varint() for _ in range(count))
-        reader.finish()
-        return cls(kind, message, params)
+        for error_cls, (to_params, _) in _ERROR_PARAMS.items():
+            if isinstance(error, error_cls):
+                return cls(type(error).__name__, str(error), to_params(error))
+        return cls(type(error).__name__, str(error))
 
     def __repr__(self) -> str:
         return f"ErrorResponse({self.kind}: {self.message!r})"
 
 
-class PingRequest:
+def error_from_frame(error: ErrorResponse) -> Exception:
+    """Rebuild the typed exception an :class:`ErrorResponse` carries."""
+    for error_cls, (_, rebuild) in _ERROR_PARAMS.items():
+        if error.kind == error_cls.__name__:
+            return rebuild(error.params)
+    for error_cls in _PLAIN_ERRORS:
+        if error.kind == error_cls.__name__:
+            return error_cls(error.message)
+    return TransportError(f"peer reported {error.kind}: {error.message}")
+
+
+def raise_for_error(frame: bytes) -> None:
+    """Raise the typed exception if ``frame`` is an error frame; any
+    other frame passes.  A malformed error frame raises
+    :class:`EncodingError`."""
+    if frame and frame[0] == ErrorResponse.type_tag:
+        raise error_from_frame(ErrorResponse.deserialize(frame))
+
+
+class PingRequest(Message):
     """Client → server: liveness/health probe, answered inline (§9.4).
 
     The net server replies without queueing a worker, so a pong proves
@@ -515,28 +678,11 @@ class PingRequest:
     ``nonce`` is echoed back, binding each pong to its ping.
     """
 
-    __slots__ = ("nonce",)
-
-    type_tag = _MSG_PING
-
-    def __init__(self, nonce: int = 0) -> None:
-        if nonce < 0:
-            raise EncodingError(f"negative ping nonce {nonce}")
-        self.nonce = nonce
-
-    def serialize(self) -> bytes:
-        return bytes([self.type_tag]) + write_varint(self.nonce)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "PingRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        nonce = reader.varint()
-        reader.finish()
-        return cls(nonce)
+    type_tag = 0x0C
+    fields = (("nonce", Varint(), 0),)
 
 
-class PongResponse:
+class PongResponse(Message):
     """Server → client: ping echo plus the served chain's tip height.
 
     The tip lets a pooled client learn the peer's height without paying
@@ -544,41 +690,11 @@ class PongResponse:
     any data derived from it still goes through the usual proof checks.
     """
 
-    __slots__ = ("nonce", "tip_height")
-
-    type_tag = _MSG_PONG
-
-    def __init__(self, nonce: int, tip_height: int) -> None:
-        if nonce < 0 or tip_height < 0:
-            raise EncodingError(
-                f"negative pong fields ({nonce}, {tip_height})"
-            )
-        self.nonce = nonce
-        self.tip_height = tip_height
-
-    def serialize(self) -> bytes:
-        return (
-            bytes([self.type_tag])
-            + write_varint(self.nonce)
-            + write_varint(self.tip_height)
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "PongResponse":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        nonce = reader.varint()
-        tip_height = reader.varint()
-        reader.finish()
-        return cls(nonce, tip_height)
+    type_tag = 0x0D
+    fields = (("nonce", Varint()), ("tip_height", Varint()))
 
 
-#: Hard bound on a declared client id: identity is an accounting key,
-#: not a payload — a hostile peer must not stuff kilobytes into it.
-MAX_CLIENT_ID_BYTES = 64
-
-
-class HelloRequest:
+class HelloRequest(Message):
     """Client → server: declare a client identity for this connection.
 
     Optional and purely operational (§11): the id keys the server's
@@ -590,40 +706,13 @@ class HelloRequest:
     hello leaves the connection keyed by its socket peer.
     """
 
-    __slots__ = ("client_id",)
-
-    type_tag = _MSG_HELLO
-
-    def __init__(self, client_id: str) -> None:
-        if not client_id:
-            raise EncodingError("hello needs a non-empty client id")
-        if len(client_id.encode("utf-8")) > MAX_CLIENT_ID_BYTES:
-            raise EncodingError(
-                f"client id exceeds {MAX_CLIENT_ID_BYTES} bytes"
-            )
-        self.client_id = client_id
-
-    def serialize(self) -> bytes:
-        return bytes([self.type_tag]) + write_var_bytes(
-            self.client_id.encode("utf-8")
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "HelloRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        client_id = _utf8(reader.var_bytes())
-        reader.finish()
-        return cls(client_id)
+    type_tag = 0x1A
+    fields = (
+        ("client_id", Utf8(nonempty=True, max_bytes=MAX_CLIENT_ID_BYTES)),
+    )
 
 
-#: Hard bound on watch-set size: large enough for any wallet, small
-#: enough that a hostile subscribe cannot make the server build
-#: megaframe updates on every append.
-MAX_WATCH_ADDRESSES = 1024
-
-
-class SubscribeRequest:
+class SubscribeRequest(Message):
     """Client → server: "push me verifiable updates for these addresses".
 
     The address list becomes the subscription's watch set; every pushed
@@ -631,45 +720,24 @@ class SubscribeRequest:
     client can pin ``expected_addresses`` during verification (§10.2).
     """
 
-    __slots__ = ("addresses",)
+    # Subscription tags start at 0x14: 0x0e-0x13 are left unassigned so
+    # the compression frame markers (0x10/0x11, transport.py) and room
+    # around them can never be mistaken for a message tag on first-byte
+    # dispatch.
+    type_tag = 0x14
+    fields = (
+        (
+            "addresses",
+            ListOf(Utf8(nonempty=True), min=1, max=MAX_WATCH_ADDRESSES),
+        ),
+    )
 
-    type_tag = _MSG_SUBSCRIBE_REQUEST
-
-    def __init__(self, addresses: "List[str]") -> None:
-        if not addresses:
-            raise EncodingError("subscription needs at least one address")
-        if len(addresses) > MAX_WATCH_ADDRESSES:
-            raise EncodingError(
-                f"watch set of {len(addresses)} exceeds the "
-                f"{MAX_WATCH_ADDRESSES}-address bound"
-            )
-        if any(not address for address in addresses):
-            raise EncodingError("empty address in watch set")
-        if len(set(addresses)) != len(addresses):
+    def _check(self) -> None:
+        if len(set(self.addresses)) != len(self.addresses):
             raise EncodingError("watch set addresses must be distinct")
-        self.addresses = list(addresses)
-
-    def serialize(self) -> bytes:
-        parts = [bytes([self.type_tag]), write_varint(len(self.addresses))]
-        parts.extend(
-            write_var_bytes(address.encode("utf-8"))
-            for address in self.addresses
-        )
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "SubscribeRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        count = reader.varint()
-        if count == 0 or count > MAX_WATCH_ADDRESSES:
-            raise EncodingError(f"implausible watch set size {count}")
-        addresses = [_utf8(reader.var_bytes()) for _ in range(count)]
-        reader.finish()
-        return cls(addresses)
 
 
-class SubscribeAck:
+class SubscribeAck(Message):
     """Server → client: the subscription is registered.
 
     ``tip_height`` is the server's tip *at registration*: every block
@@ -680,60 +748,18 @@ class SubscribeAck:
     Also answers :class:`UnsubscribeRequest` (same shape, same fields).
     """
 
-    __slots__ = ("subscription_id", "tip_height")
-
-    type_tag = _MSG_SUBSCRIBE_ACK
-
-    def __init__(self, subscription_id: int, tip_height: int) -> None:
-        if subscription_id < 1 or tip_height < 0:
-            raise EncodingError(
-                f"bad subscribe ack ({subscription_id}, {tip_height})"
-            )
-        self.subscription_id = subscription_id
-        self.tip_height = tip_height
-
-    def serialize(self) -> bytes:
-        return (
-            bytes([self.type_tag])
-            + write_varint(self.subscription_id)
-            + write_varint(self.tip_height)
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "SubscribeAck":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        subscription_id = reader.varint()
-        tip_height = reader.varint()
-        reader.finish()
-        return cls(subscription_id, tip_height)
+    type_tag = 0x15
+    fields = (("subscription_id", Varint(min=1)), ("tip_height", Varint()))
 
 
-class UnsubscribeRequest:
+class UnsubscribeRequest(Message):
     """Client → server: drop one subscription (answered by an ack)."""
 
-    __slots__ = ("subscription_id",)
-
-    type_tag = _MSG_UNSUBSCRIBE_REQUEST
-
-    def __init__(self, subscription_id: int) -> None:
-        if subscription_id < 1:
-            raise EncodingError(f"bad subscription id {subscription_id}")
-        self.subscription_id = subscription_id
-
-    def serialize(self) -> bytes:
-        return bytes([self.type_tag]) + write_varint(self.subscription_id)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "UnsubscribeRequest":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        subscription_id = reader.varint()
-        reader.finish()
-        return cls(subscription_id)
+    type_tag = 0x16
+    fields = (("subscription_id", Varint(min=1)),)
 
 
-class PushUpdate:
+class PushUpdate(Message):
     """Server → client (unsolicited): one appended block, proven.
 
     ``header_bytes`` is the new block's full header; ``batch_bytes`` is
@@ -751,41 +777,15 @@ class PushUpdate:
     decodes with its own trusted config, never one supplied by a peer.
     """
 
-    __slots__ = ("height", "header_bytes", "batch_bytes")
-
-    type_tag = _MSG_PUSH_UPDATE
-
-    def __init__(
-        self, height: int, header_bytes: bytes, batch_bytes: bytes
-    ) -> None:
-        if height < 1:
-            raise EncodingError(f"bad push update height {height}")
-        if not header_bytes or not batch_bytes:
-            raise EncodingError("push update needs header and batch bytes")
-        self.height = height
-        self.header_bytes = header_bytes
-        self.batch_bytes = batch_bytes
-
-    def serialize(self) -> bytes:
-        return (
-            bytes([self.type_tag])
-            + write_varint(self.height)
-            + write_var_bytes(self.header_bytes)
-            + write_var_bytes(self.batch_bytes)
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "PushUpdate":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        height = reader.varint()
-        header_bytes = reader.var_bytes()
-        batch_bytes = reader.var_bytes()
-        reader.finish()
-        return cls(height, header_bytes, batch_bytes)
+    type_tag = 0x17
+    fields = (
+        ("height", Varint(min=1)),
+        ("header_bytes", VarBytes(nonempty=True)),
+        ("batch_bytes", VarBytes(nonempty=True)),
+    )
 
 
-class PushRetraction:
+class PushRetraction(Message):
     """Server → client (unsolicited): blocks above ``fork_height`` are gone.
 
     Sent from the reorg listener the moment the server rolls back; the
@@ -798,36 +798,17 @@ class PushRetraction:
     rolling back, letting the client report the retracted span.
     """
 
-    __slots__ = ("fork_height", "old_tip")
+    type_tag = 0x18
+    fields = (("fork_height", Varint()), ("old_tip", Varint()))
 
-    type_tag = _MSG_PUSH_RETRACTION
-
-    def __init__(self, fork_height: int, old_tip: int) -> None:
-        if fork_height < 0 or old_tip < fork_height:
+    def _check(self) -> None:
+        if self.old_tip < self.fork_height:
             raise EncodingError(
-                f"bad retraction ({fork_height}, {old_tip})"
+                f"bad retraction ({self.fork_height}, {self.old_tip})"
             )
-        self.fork_height = fork_height
-        self.old_tip = old_tip
-
-    def serialize(self) -> bytes:
-        return (
-            bytes([self.type_tag])
-            + write_varint(self.fork_height)
-            + write_varint(self.old_tip)
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "PushRetraction":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        fork_height = reader.varint()
-        old_tip = reader.varint()
-        reader.finish()
-        return cls(fork_height, old_tip)
 
 
-class SubscriptionEvicted:
+class SubscriptionEvicted(Message):
     """Server → client (unsolicited, final): slow-consumer eviction (§10.5).
 
     When a subscriber's bounded outbox overflows, the server reclaims
@@ -836,55 +817,14 @@ class SubscriptionEvicted:
     :class:`~repro.errors.SubscriberEvictedError`.
     """
 
-    __slots__ = ("subscription_id", "dropped_frames", "reason")
-
-    type_tag = _MSG_SUBSCRIPTION_EVICTED
-
-    def __init__(
-        self, subscription_id: int, dropped_frames: int, reason: str
-    ) -> None:
-        if subscription_id < 1 or dropped_frames < 0:
-            raise EncodingError(
-                f"bad eviction ({subscription_id}, {dropped_frames})"
-            )
-        self.subscription_id = subscription_id
-        self.dropped_frames = dropped_frames
-        self.reason = reason
-
-    def serialize(self) -> bytes:
-        return (
-            bytes([self.type_tag])
-            + write_varint(self.subscription_id)
-            + write_varint(self.dropped_frames)
-            + write_var_bytes(self.reason.encode("utf-8"))
-        )
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "SubscriptionEvicted":
-        reader = ByteReader(payload)
-        _expect_tag(reader, cls.type_tag)
-        subscription_id = reader.varint()
-        dropped_frames = reader.varint()
-        reason = _utf8(reader.var_bytes())
-        reader.finish()
-        return cls(subscription_id, dropped_frames, reason)
+    type_tag = 0x19
+    fields = (
+        ("subscription_id", Varint(min=1)),
+        ("dropped_frames", Varint()),
+        ("reason", Utf8()),
+    )
 
     def to_error(self):
-        from repro.errors import SubscriberEvictedError
-
         return SubscriberEvictedError(
             self.subscription_id, self.dropped_frames, self.reason
         )
-
-
-def _expect_tag(reader: ByteReader, tag: int) -> None:
-    actual = reader.bytes(1)[0]
-    if actual != tag:
-        raise EncodingError(f"expected message tag {tag}, got {actual}")
-
-
-def _utf8(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"not UTF-8: {exc}") from exc

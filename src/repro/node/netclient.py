@@ -33,29 +33,23 @@ import random
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     MAX_RETRY_AFTER_SECONDS,
     BackpressureError,
-    ConnectionLimitError,
-    ChainError,
     EncodingError,
-    QueryError,
-    RateLimitedError,
-    RequestShedError,
+    ReproError,
     RequestTimeoutError,
-    ServerOverloadedError,
-    SubscriberEvictedError,
     TransportError,
 )
 from repro.node.messages import (
-    SHED_PRIORITIES,
-    SHED_STATES,
     ErrorResponse,
     HelloRequest,
     PingRequest,
     PongResponse,
+    error_from_frame,
+    raise_for_error,
 )
 from repro.node.net import FRAME_HEADER
 from repro.node.session import RetryPolicy
@@ -64,61 +58,6 @@ from repro.node.transport import (
     compress_frame,
     decompress_frame,
 )
-
-def _retry_seconds(params: Tuple[int, ...], position: int) -> "float | None":
-    """Decode a retry-after-milliseconds wire param (0 / absent = none),
-    clamped so a hostile hint cannot park a client for hours."""
-    if len(params) <= position or params[position] <= 0:
-        return None
-    return min(params[position] / 1000.0, MAX_RETRY_AFTER_SECONDS)
-
-
-def _name_at(options: Tuple[str, ...], params: Tuple[int, ...], position: int) -> str:
-    if len(params) > position and 0 <= params[position] < len(options):
-        return options[params[position]]
-    return "unknown"
-
-
-#: Wire error kinds a client will rebuild as their original type.  Only
-#: *benign* kinds are mapped — a malicious server naming anything else
-#: (or inventing kinds) degrades to a generic :class:`TransportError`,
-#: which can deny service but never influence what verifies.
-_WIRE_ERRORS: Dict[str, Callable[[str, Tuple[int, ...]], Exception]] = {
-    "ServerOverloadedError": lambda msg, params: ServerOverloadedError(
-        params[0] if len(params) > 0 else 0,
-        params[1] if len(params) > 1 else 0,
-        retry_after=_retry_seconds(params, 2),
-    ),
-    "ConnectionLimitError": lambda msg, params: ConnectionLimitError(
-        params[0] if len(params) > 0 else 0,
-        params[1] if len(params) > 1 else 0,
-        retry_after=_retry_seconds(params, 2),
-    ),
-    "RateLimitedError": lambda msg, params: RateLimitedError(
-        "self", retry_after=_retry_seconds(params, 0)
-    ),
-    "RequestShedError": lambda msg, params: RequestShedError(
-        _name_at(SHED_PRIORITIES, params, 0),
-        _name_at(SHED_STATES, params, 1),
-        retry_after=_retry_seconds(params, 2),
-    ),
-    "SubscriberEvictedError": lambda msg, params: SubscriberEvictedError(
-        params[0] if len(params) > 0 else 1,
-        params[1] if len(params) > 1 else 0,
-    ),
-    "EncodingError": lambda msg, params: EncodingError(msg),
-    "QueryError": lambda msg, params: QueryError(msg),
-    "ChainError": lambda msg, params: ChainError(msg),
-    "TransportError": lambda msg, params: TransportError(msg),
-}
-
-
-def error_from_frame(error: ErrorResponse) -> Exception:
-    """Rebuild the typed exception an :class:`ErrorResponse` carries."""
-    builder = _WIRE_ERRORS.get(error.kind)
-    if builder is not None:
-        return builder(error.message, error.params)
-    return TransportError(f"peer reported {error.kind}: {error.message}")
 
 
 class ClientConnection:
@@ -298,8 +237,7 @@ class ClientConnection:
 
     def ping(self, nonce: int, timeout: float) -> PongResponse:
         response = self.request(PingRequest(nonce).serialize(), timeout)
-        if response and response[0] == ErrorResponse.type_tag:
-            raise error_from_frame(ErrorResponse.deserialize(response))
+        raise_for_error(response)
         pong = PongResponse.deserialize(response)
         if pong.nonce != nonce:
             raise TransportError(
@@ -406,16 +344,15 @@ class ConnectionPool:
             # Declare this pool's identity before any real request, so
             # the server's rate buckets key on it from the first frame.
             try:
-                response = connection.request(
-                    HelloRequest(self.client_id).serialize(),
-                    self.request_timeout,
+                raise_for_error(
+                    connection.request(
+                        HelloRequest(self.client_id).serialize(),
+                        self.request_timeout,
+                    )
                 )
-            except (TransportError, EncodingError):
+            except ReproError:
                 connection.close()
                 raise
-            if response and response[0] == ErrorResponse.type_tag:
-                connection.close()
-                raise error_from_frame(ErrorResponse.deserialize(response))
             with self._lock:
                 self.stats["hellos"] += 1
         return connection
@@ -621,8 +558,7 @@ class RemoteFullNode:
 
     def _rpc(self, payload: bytes) -> bytes:
         response = self.pool.request(payload)
-        if response and response[0] == ErrorResponse.type_tag:
-            raise error_from_frame(ErrorResponse.deserialize(response))
+        raise_for_error(response)
         return response
 
     # -- FullNode handler surface -----------------------------------------
@@ -656,5 +592,4 @@ __all__ = [
     "ClientConnection",
     "ConnectionPool",
     "RemoteFullNode",
-    "error_from_frame",
 ]

@@ -71,18 +71,18 @@ logger = logging.getLogger("repro.node.admission")
 
 #: Message type tag → FullNode handler name.
 _DISPATCH = {
-    _messages._MSG_QUERY_REQUEST: "handle_query",
-    _messages._MSG_HEADERS_REQUEST: "handle_headers",
-    _messages._MSG_BATCH_REQUEST: "handle_batch_query",
-    _messages._MSG_DELTA_HEADERS_REQUEST: "handle_headers",
-    _messages._MSG_AGG_BATCH_REQUEST: "handle_batch_query",
+    _messages.QueryRequest.type_tag: "handle_query",
+    _messages.HeadersRequest.type_tag: "handle_headers",
+    _messages.BatchQueryRequest.type_tag: "handle_batch_query",
+    _messages.DeltaHeadersRequest.type_tag: "handle_headers",
+    _messages.AggregatedBatchRequest.type_tag: "handle_batch_query",
 }
 
 #: Connection-scoped tags: NetServer answers them on the connection, and
 #: the queue refuses them (see submit).
 _SUBSCRIPTION_TAGS = (
-    _messages._MSG_SUBSCRIBE_REQUEST,
-    _messages._MSG_UNSUBSCRIBE_REQUEST,
+    _messages.SubscribeRequest.type_tag,
+    _messages.UnsubscribeRequest.type_tag,
 )
 
 #: Requests a worker ran that the latency summaries cover.
@@ -239,7 +239,7 @@ class QueryServer:
                     f"SubscriptionRegistry)"
                 )
             raise QueryError(f"unknown request tag {tag}")
-        if tag == _messages._MSG_QUERY_REQUEST:
+        if tag == _messages.QueryRequest.type_tag:
             # Decoded once: the class and the cache probe both read it.
             priority, query = classify_query(payload)
         else:

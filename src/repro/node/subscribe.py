@@ -61,12 +61,7 @@ from repro.errors import (
 )
 from repro.node import messages as _messages
 from repro.node.light_node import LightNode
-from repro.node.netclient import (
-    ClientConnection,
-    ConnectionPool,
-    RemoteFullNode,
-    error_from_frame,
-)
+from repro.node.netclient import ClientConnection, ConnectionPool, RemoteFullNode
 from repro.node.session import RetryPolicy
 from repro.node.transport import DEFAULT_MAX_FRAME_BYTES
 from repro.query.batch import BatchQueryResult, verify_batch_result
@@ -787,10 +782,7 @@ class SubscriptionSession:
             tag = frame[0] if frame else 0
             if tag == _messages.SubscribeAck.type_tag:
                 return _messages.SubscribeAck.deserialize(frame), pending
-            if tag == _messages.ErrorResponse.type_tag:
-                raise error_from_frame(
-                    _messages.ErrorResponse.deserialize(frame)
-                )
+            _messages.raise_for_error(frame)
             if tag in push_tags:
                 # A second subscribe on a live connection can see pushes
                 # for the earlier subscription land before its ack.
@@ -832,14 +824,13 @@ class SubscriptionSession:
             self.stats.evictions += 1
             self._emit(WatchEviction(notice.to_error()))
             raise _EvictedSignal()
-        elif tag == _messages.ErrorResponse.type_tag:
-            raise error_from_frame(_messages.ErrorResponse.deserialize(frame))
         elif tag in (
             _messages.PongResponse.type_tag,
             _messages.SubscribeAck.type_tag,
         ):
             return  # keepalive echo / duplicate ack: liveness only
         else:
+            _messages.raise_for_error(frame)
             self.stats.protocol_errors += 1
             raise TransportError(
                 f"unexpected frame tag {tag} on the watch stream"

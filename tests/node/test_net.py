@@ -40,6 +40,7 @@ from repro.node.messages import (
     PingRequest,
     PongResponse,
     QueryRequest,
+    error_from_frame,
 )
 from repro.node import net
 from repro.node.net import FRAME_HEADER, EventLoopThread, NetServer
@@ -47,7 +48,6 @@ from repro.node.netclient import (
     ClientConnection,
     ConnectionPool,
     RemoteFullNode,
-    error_from_frame,
 )
 from repro.node.server import QueryServer
 from repro.node.session import RetryPolicy

@@ -28,9 +28,9 @@ from repro.node.messages import (
     SubscribeRequest,
     SubscriptionEvicted,
     UnsubscribeRequest,
+    error_from_frame,
 )
 from repro.node.net import NetServer
-from repro.node.netclient import error_from_frame
 from repro.node.server import QueryServer
 from repro.node.subscribe import SubscriptionRegistry
 from repro.query.batch import BatchQueryResult, verify_batch_result

@@ -13,9 +13,21 @@ truncation, splices and inflated varints.  A mutated payload that
 decodes must then either be rejected by the verifier or verify to
 exactly the honest history; where a light node's memo is in play, the
 warm outcome must equal the cold one.
+
+Every class declared through ``messages.Message`` also gets a mutator
+derived from its declaration, seeded with its golden vectors: truncate
+at a field boundary, inflate a field's varint (value, length or count)
+or re-encode it non-canonically, splice in a field of another frame,
+and flip bits.  A mutant must fail cleanly or decode to a message that
+re-encodes to exactly the mutant and that its constructor accepts.  And
+no decode of any golden message frame, or of its inflated mutants, may
+allocate more than a stated multiple of the frame's size.
 """
 
 import functools
+import json
+import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,11 +35,12 @@ from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
-from repro.crypto.encoding import ByteReader
+from repro.crypto.encoding import ByteReader, read_varint, write_varint
 from repro.errors import ReproError
 from repro.merkle.bmt import BmtMultiProof
 from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof
 from repro.merkle.tree import MerkleBranch
+from repro.node import messages
 from repro.node.light_node import LightNode
 from repro.node.messages import (
     AggregatedBatchRequest,
@@ -412,3 +425,167 @@ def test_edited_push_update_fails_cleanly(lvq_system, probe_addresses, edits):
     assert isinstance(expected, dict)
     verdict = push_outcome(lvq_system, edit(honest, edits), watched)
     assert verdict == expected or not isinstance(verdict, dict)
+
+
+# -- declaration-derived mutations over every declared message class ---------
+
+VECTORS = pathlib.Path(__file__).resolve().parents[1] / "vectors"
+
+
+def _vector_frames():
+    """Message class name → its committed golden frames."""
+    frames = {}
+    for path in sorted(VECTORS.glob("*.json")):
+        vector = json.loads(path.read_text())
+        frames.setdefault(vector["message"], []).append(bytes.fromhex(vector["hex"]))
+    return frames
+
+
+VECTOR_FRAMES = _vector_frames()
+DECLARED = sorted(
+    (
+        value
+        for value in vars(messages).values()
+        if isinstance(value, type)
+        and issubclass(value, messages.Message)
+        and isinstance(getattr(value, "type_tag", None), int)
+    ),
+    key=lambda cls: cls.type_tag,
+)
+#: Proof-carrying responses decode with the chain's config.
+PROOF_MESSAGES = (QueryResponse, BatchQueryResponse, AggregatedBatchResponse)
+
+
+def decode_message(cls, frame):
+    if cls in PROOF_MESSAGES:
+        return cls.deserialize(frame, CONFIG)
+    if cls in (HeadersResponse, DeltaHeadersResponse):
+        return cls.deserialize(
+            frame, CONFIG.header_extension_kind, CONFIG.header_bloom_bytes
+        )
+    return cls.deserialize(frame)
+
+
+def field_spans(cls, frame):
+    """``(start, end)`` of every declared field of a valid ``frame``;
+    each field starts with a varint (its value, length or count)."""
+    reader = ByteReader(frame)
+    reader.bytes(1)
+    context = (
+        (CONFIG.header_extension_kind, CONFIG.header_bloom_bytes)
+        if cls is HeadersResponse
+        else ()
+    )
+    spans = []
+    for _name, kind, *_ in cls.fields:
+        start = reader.offset
+        kind.read(reader, context)
+        spans.append((start, reader.offset))
+    return spans
+
+
+def inflated(frame, start, delta):
+    """``frame`` with the varint at ``start`` raised by ``delta`` (or,
+    for ``delta == 0``, re-encoded in a longer, non-canonical form)."""
+    value, end = read_varint(frame, start)
+    if delta:
+        prefix = write_varint(min(value + delta, 2**64 - 1))
+    else:
+        prefix = b"\xff" + value.to_bytes(8, "little")
+    return frame[:start] + prefix + frame[end:]
+
+
+#: ``(op, a, b)``: ``a`` picks a field (or a boundary, or a bit
+#: position), ``b`` a delta, a donor frame or a bit.
+STRUCTURED = st.tuples(
+    st.sampled_from(["truncate", "inflate", "splice", "flip"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=10_000),
+)
+INFLATIONS = (0, 1, 255, 65_536, 2**32, 2**64)
+#: Frames whose fields a splice borrows: every declared class's vectors.
+DONORS = [(cls, frame) for cls in DECLARED for frame in VECTOR_FRAMES[cls.__name__]]
+
+
+def structured_edit(cls, frame, op, a, b):
+    if op == "flip":
+        mutated = bytearray(frame)
+        mutated[a % len(mutated)] ^= 1 << (b % 8)
+        return bytes(mutated)
+    spans = field_spans(cls, frame)
+    start, end = spans[a % len(spans)]
+    if op == "truncate":
+        boundaries = sorted({1} | {s for s, _ in spans} | {e for _, e in spans[:-1]})
+        return frame[: boundaries[a % len(boundaries)]]
+    if op == "inflate":
+        return inflated(frame, start, INFLATIONS[b % len(INFLATIONS)])
+    if op == "splice":
+        donor_cls, donor = DONORS[b % len(DONORS)]
+        donor_spans = field_spans(donor_cls, donor)
+        donor_start, donor_end = donor_spans[a % len(donor_spans)]
+        return frame[:start] + donor[donor_start:donor_end] + frame[end:]
+    raise AssertionError(f"unknown edit {op}")
+
+
+@pytest.mark.parametrize("cls", DECLARED, ids=lambda cls: cls.__name__)
+@given(edits=st.lists(STRUCTURED, min_size=1, max_size=2), pick=st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_declared_mutations_fail_cleanly_or_reencode_exactly(cls, edits, pick):
+    frames = VECTOR_FRAMES[cls.__name__]
+    mutated = frames[pick % len(frames)]
+    for op, a, b in edits:
+        try:
+            field_spans(cls, mutated)
+        except ReproError:
+            op = "flip"  # an earlier edit broke the layout: bits only
+        mutated = structured_edit(cls, mutated, op, a, b)
+    try:
+        message = decode_message(cls, mutated)
+    except ReproError:
+        return
+    assert message.serialize() == mutated
+    cls(*[getattr(message, name) for name, *_ in cls.fields])
+
+
+#: A decode may allocate at most ``ALLOC_PER_FRAME_BYTE`` bytes per
+#: frame byte plus ``ALLOC_FIXED`` bytes for its own objects (reader,
+#: message, exception); the proof-carrying frames, whose Python objects
+#: are bulkier than their bytes, stay under the same bound.  A decoder
+#: that sized anything by a claimed count or length would blow it.
+ALLOC_PER_FRAME_BYTE = 10
+ALLOC_FIXED = 4096
+
+
+def peak_decode_bytes(cls, frame):
+    tracemalloc.start()
+    try:
+        decode_message(cls, frame)
+    except ReproError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in VECTOR_FRAMES if name != "zlib")
+)
+def test_decode_allocation_is_bounded_by_frame_size(name):
+    cls = getattr(messages, name)
+    for frame in VECTOR_FRAMES[name]:
+        candidates = [frame]
+        if cls in DECLARED:
+            candidates += [
+                inflated(frame, start, delta)
+                for start, _ in field_spans(cls, frame)
+                for delta in INFLATIONS
+            ]
+        for candidate in candidates:
+            decode_message(cls, frame)  # warm any lazy import or cache
+            peak = peak_decode_bytes(cls, candidate)
+            assert peak <= ALLOC_PER_FRAME_BYTE * len(candidate) + ALLOC_FIXED, (
+                name,
+                len(candidate),
+                peak,
+            )

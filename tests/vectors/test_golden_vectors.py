@@ -1,15 +1,17 @@
 """Golden wire vectors: committed frames the codec and the verifier must
 keep reading exactly as they did when the frames were written.
 
-Each JSON file in this directory holds one response frame, the request
-that produced it from the ``lvq_system`` fixture, and the ``(height,
-txid)`` history a light node accepts from it (``make_vectors.py`` wrote
-them; nothing rewrites them).  The tests pin that the prover still
-writes exactly those bytes, that they decode and re-encode to
-themselves, that they verify to the recorded history, and — for the
-BMT vector — that flipping any single bit of a multiproof's tags,
-hashes or filters is rejected, identically by a cold verifier and by a
-light node whose replay memo is warm.
+Each JSON file in this directory holds one frame (``make_vectors.py``
+wrote them; nothing rewrites them): every message class has at least
+one.  The two proof vectors also hold the request that produced them
+from the ``lvq_system`` fixture and the ``(height, txid)`` history a
+light node accepts from them.  The tests pin that every frame decodes
+and re-encodes to itself, that the node still writes exactly those
+bytes (from the fixture, or from the vector's recorded ``fields``),
+that the proofs verify to the recorded history, and — for the BMT
+vector — that flipping any single bit of a multiproof's tags, hashes or
+filters is rejected, identically by a cold verifier and by a light node
+whose replay memo is warm.
 """
 
 import json
@@ -18,8 +20,11 @@ import pathlib
 import pytest
 
 from repro.errors import ReproError
+from repro.node import messages
+from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.messages import AggregatedBatchResponse, QueryResponse
+from repro.node.transport import compress_frame, decompress_frame
 from repro.query.batch import answer_batch_query, verify_batch_result
 from repro.query.fragments import ExistenceResolution, FpmResolution
 from repro.query.prover import answer_query
@@ -30,6 +35,9 @@ HERE = pathlib.Path(__file__).resolve().parent
 
 def load(name):
     return json.loads((HERE / f"{name}.json").read_text())
+
+
+VECTOR_NAMES = sorted(path.stem for path in HERE.glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +235,112 @@ def test_warm_memo_rejects_every_bit_flip_exactly_as_cold(
     assert outcome(lambda: verified(frame, light.memo)) == bmt_vector[
         "verified"
     ]
+
+
+def test_every_message_class_has_a_vector():
+    classes = {
+        name
+        for name, value in vars(messages).items()
+        if isinstance(value, type)
+        and isinstance(getattr(value, "type_tag", None), int)
+    }
+    assert len(classes) == 20
+    assert classes <= {load(name)["message"] for name in VECTOR_NAMES}
+
+
+#: Messages whose codec takes the chain's config (proof-carrying bodies).
+PROOF_MESSAGES = ("QueryResponse", "BatchQueryResponse", "AggregatedBatchResponse")
+
+
+def decode(vector, system):
+    """The vector's frame decoded by its class, with the context the
+    fixture's light node would pass."""
+    config = system.config
+    message_cls = getattr(messages, vector["message"])
+    frame = bytes.fromhex(vector["hex"])
+    if vector["message"] in PROOF_MESSAGES:
+        return message_cls.deserialize(frame, config)
+    if vector["message"] in ("HeadersResponse", "DeltaHeadersResponse"):
+        return message_cls.deserialize(
+            frame, config.header_extension_kind, config.header_bloom_bytes
+        )
+    return message_cls.deserialize(frame)
+
+
+def encode(vector, message, system):
+    if vector["message"] in PROOF_MESSAGES:
+        return message.serialize(system.config)
+    return message.serialize()
+
+
+@pytest.mark.parametrize("name", VECTOR_NAMES)
+def test_decode_then_encode_is_identity(lvq_system, name):
+    vector = load(name)
+    frame = bytes.fromhex(vector["hex"])
+    if vector["message"] == "zlib":
+        inner = bytes.fromhex(load(vector["inner"])["hex"])
+        assert decompress_frame(frame) == inner
+        assert compress_frame(inner) == frame
+        return
+    assert encode(vector, decode(vector, lvq_system), lvq_system) == frame
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in VECTOR_NAMES if "fields" in load(name)]
+)
+def test_fields_encode_to_the_vector_and_back(name):
+    vector = load(name)
+    message_cls = getattr(messages, vector["message"])
+    frame = bytes.fromhex(vector["hex"])
+    assert message_cls(**vector["fields"]).serialize() == frame
+    decoded = message_cls.deserialize(frame)
+    for field, value in vector["fields"].items():
+        got = getattr(decoded, field)
+        assert (list(got) if isinstance(got, tuple) else got) == value
+
+
+def test_node_writes_the_header_and_plain_batch_vectors(lvq_system):
+    node = FullNode(lvq_system)
+    for name, request in (
+        ("headers_response", messages.HeadersRequest),
+        ("delta_headers_response", messages.DeltaHeadersRequest),
+    ):
+        vector = load(name)
+        trusted_headers(lvq_system, vector)
+        frame = node.handle_headers(
+            request(vector["request"]["from_height"]).serialize()
+        )
+        assert frame.hex() == vector["hex"]
+    vector = load("batch_query_response")
+    request = messages.BatchQueryRequest(
+        vector["request"]["addresses"], *request_range(vector)
+    )
+    assert node.handle_batch_query(request.serialize()).hex() == vector["hex"]
+    batch = messages.BatchQueryResponse.deserialize(
+        bytes.fromhex(vector["hex"]), lvq_system.config
+    ).batch
+    histories = verify_batch_result(
+        batch,
+        lvq_system.headers(),
+        lvq_system.config,
+        vector["request"]["addresses"],
+        request_range(vector),
+    )
+    assert {
+        address: history(histories[address])
+        for address in vector["request"]["addresses"]
+    } == vector["verified"]
+
+
+def test_push_update_vector_is_the_tip_block_proven(lvq_system):
+    vector = load("push_update")
+    trusted_headers(lvq_system, vector)
+    height = vector["request"]["height"]
+    update = messages.PushUpdate(
+        height,
+        lvq_system.chain.header_at(height).serialize(),
+        answer_batch_query(
+            lvq_system, vector["request"]["addresses"], height, height
+        ).serialize(lvq_system.config),
+    )
+    assert update.serialize().hex() == vector["hex"]
