@@ -71,6 +71,9 @@ from repro.query.verifier import VerifiedHistory
 PUSH_OK = "ok"
 PUSH_OVERFLOW = "overflow"
 PUSH_CLOSED = "closed"
+#: Sync-then-query rounds a backfill tries before giving up: the
+#: server's tip may advance between the header sync and the query.
+MAX_BACKFILL_RETRIES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +546,8 @@ class SubscriptionSession:
         request_timeout: float = 10.0,
         connect_timeout: float = 5.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        reconnect: bool = True,
         max_reconnects: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        max_backfill_retries: int = 4,
-        resubscribe_on_eviction: bool = False,
         seed: int = 0,
     ) -> None:
         if keepalive <= 0:
@@ -561,13 +561,10 @@ class SubscriptionSession:
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
         self.max_frame_bytes = max_frame_bytes
-        self.reconnect = reconnect
         self.max_reconnects = max_reconnects
         self.retry_policy = retry_policy or RetryPolicy(
             max_rounds=3, base_delay=0.05, max_delay=1.0, jitter=0.25
         )
-        self.max_backfill_retries = max_backfill_retries
-        self.resubscribe_on_eviction = resubscribe_on_eviction
         self.stats = WatchStats()
         self.subscription_id: Optional[int] = None
         self._rng = random.Random(seed)
@@ -703,9 +700,7 @@ class SubscriptionSession:
                 self._serve_stream(conn)
                 return  # orderly stop
             except _EvictedSignal:
-                if not (self.resubscribe_on_eviction and self.reconnect):
-                    return
-                reason = "resubscribing after eviction"
+                return
             except ReproError as error:
                 if self._stop.is_set():
                     return
@@ -716,7 +711,7 @@ class SubscriptionSession:
                     self._conn = None
             self.stats.disconnects += 1
             failures += 1
-            final = not (self.reconnect and self._retry_allowed(reconnects))
+            final = not self._retry_allowed(reconnects)
             self._emit(WatchDisconnect(reason, final=final))
             if final:
                 return
@@ -724,8 +719,6 @@ class SubscriptionSession:
             self._backoff(failures)
 
     def _retry_allowed(self, reconnects: int) -> bool:
-        if not self.reconnect:
-            return False
         return self.max_reconnects is None or reconnects < self.max_reconnects
 
     def _backoff(self, failures: int) -> None:
@@ -940,7 +933,7 @@ class SubscriptionSession:
         """
         remote = self._remote()
         last_error: Optional[Exception] = None
-        for _attempt in range(self.max_backfill_retries):
+        for _attempt in range(MAX_BACKFILL_RETRIES):
             if self._stop.is_set():
                 return
             before_tip = self.light.tip_height
@@ -996,7 +989,7 @@ class SubscriptionSession:
             return
         raise TransportError(
             f"backfill did not converge after "
-            f"{self.max_backfill_retries} attempts: {last_error}"
+            f"{MAX_BACKFILL_RETRIES} attempts: {last_error}"
         )
 
     def __repr__(self) -> str:

@@ -25,8 +25,15 @@ variable-length ones), ``k >= 1`` means "table entry ``k-1``".  Only
 blobs that occur at least twice enter the table, so a batch with nothing
 shared costs one extra byte total.
 
-Decoding is one pass over the frame, :func:`expand_aggregated_batch`,
-that writes the plain image back: each ``k = 0`` marker is dropped,
+The layout is stated once, in :func:`_walk`: one walk of the plain
+image's structure (batch header, segments, multiproof node tags,
+resolution tags and flags, SMT branches, hash lists) that hands every
+blob slot to one of two slot readers.  The encoder serializes the batch
+plainly and walks that image with the *plain* reader, which cuts it into
+the bytes between slots and the slots' blobs; it counts the blobs, then
+writes each slot as a marker or a reference.  Decoding is the same walk
+over the frame with the *table* reader, :func:`expand_aggregated_batch`,
+which writes the plain image back: each ``k = 0`` marker is dropped,
 each reference is replaced by its table blob, and every other byte is
 copied as it came.  That image then goes through the one plain decoder,
 :meth:`BatchQueryResult.deserialize`, with the light node's memo, so
@@ -41,29 +48,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.crypto.encoding import (
-    ByteReader,
-    read_varint,
-    write_var_bytes,
-    write_varint,
-)
+from repro.crypto.encoding import read_varint, write_var_bytes, write_varint
 from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError, ProofError
-from repro.merkle.bmt import (
-    _TAG_BYTES,
-    _TAG_HASHES,
-    _TAG_INTERNAL,
-    BmtMultiProof,
-)
-from repro.query.batch import BatchQueryResult
+from repro.merkle.bmt import _TAG_HASHES, _TAG_INTERNAL
+from repro.query.batch import BatchQueryResult, batch_of_results
 from repro.query.config import SystemConfig
 from repro.query.fragments import (
     _ANSWER_EMPTY,
     _RES_EXISTENCE,
     _RES_FPM,
     _RES_INTEGRAL,
-    SegmentProof,
-    _serialize_resolution,
 )
 from repro.query.result import QueryResult
 
@@ -78,204 +73,31 @@ _MAX_TABLE = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# encoder
+# the walk
 
 
-#: Token kinds of one walk: bytes written as they are, and the two blob
-#: slots (fixed-length, var_bytes-framed) that may become references.
-_RAW, _FIXED, _VAR = 0, 1, 2
+def _walk(
+    data: bytes, config: SystemConfig, aggregated: bool
+) -> Tuple[List[bytes], List[bytes]]:
+    """One walk of the plain batch layout (the one
+    :meth:`BatchQueryResult.serialize` writes) over ``data``:
+    ``(out, keys)``.
 
+    The walk reads only what locates the blob slots — counts, tags,
+    flags — and hands each slot to one of two readers:
 
-class _Tokens:
-    """One walk of a batch: the body as ``(kind, bytes)`` tokens, read by
-    both the counting and the emitting pass so the batch is walked (and
-    its transactions serialized) once."""
+    * plain (``aggregated=False``, ``data`` a plain image): ``out``
+      alternates the bytes before each slot with the slot's image, and
+      ``keys`` holds each slot's blob (its bytes without a length
+      prefix), the encoder's dedup key;
+    * aggregated (``data`` an aggregated frame, its blob table first):
+      each slot's marker is dropped or its reference replaced by the
+      table blob, so ``b"".join(out)`` is the plain image.
 
-    __slots__ = ("items",)
-
-    def __init__(self) -> None:
-        self.items: "List[Tuple[int, bytes]]" = []
-
-    def raw(self, data: bytes) -> None:
-        self.items.append((_RAW, data))
-
-    def varint(self, value: int) -> None:
-        self.items.append((_RAW, write_varint(value)))
-
-    def fixed_blob(self, data: bytes) -> None:
-        self.items.append((_FIXED, data))
-
-    def var_blob(self, data: bytes) -> None:
-        self.items.append((_VAR, data))
-
-
-def _walk_resolution(resolution, sink) -> None:
-    """Tokenize one resolution's tag-first wire bytes.
-
-    The slots — SMT leaf addresses, hashes, transactions, an integral
-    body — are taken as slices of the bytes the resolution ships as, and
-    every byte between them goes out as raw, so the walk emits exactly
-    what a walk of the decoded objects would, without decoding or
-    re-encoding anything.  The prover's answers already hold those
-    bytes; any other resolution is serialized once first.
+    A dangling reference, a wrong-length blob, an unknown tag or flag,
+    truncation or trailing bytes raises :class:`EncodingError`; every
+    other check is left to the plain decoder that reads the image.
     """
-    data = _serialize_resolution(resolution)
-    reader = ByteReader(data)
-    mark = 0  # first byte not yet emitted
-
-    def slot(length: int) -> None:
-        """One blob slot: ``length`` bytes, or var_bytes when 0."""
-        nonlocal mark
-        start = reader.offset
-        if start > mark:
-            sink.raw(data[mark:start])
-        if length:
-            sink.fixed_blob(reader.bytes(length))
-        else:
-            sink.var_blob(reader.var_bytes())
-        mark = reader.offset
-
-    def hashes() -> None:
-        for _ in range(reader.varint()):
-            slot(HASH_SIZE)
-
-    def smt_branch() -> None:
-        slot(0)  # leaf address
-        reader.varint()  # leaf count
-        reader.varint()  # leaf index
-        hashes()
-
-    tag = reader.bytes(1)[0]
-    if tag == _RES_EXISTENCE:
-        if reader.bytes(1)[0]:
-            smt_branch()
-        for _ in range(reader.varint()):
-            slot(0)  # transaction
-            slot(HASH_SIZE)  # Merkle leaf hash
-            reader.varint()  # leaf index
-            hashes()
-    elif tag == _RES_FPM:
-        flags = reader.bytes(1)[0]
-        if flags & 1:
-            smt_branch()
-        if flags & 2:
-            smt_branch()
-    elif tag == _RES_INTEGRAL:
-        slot(0)
-    else:  # pragma: no cover - fragment constructors reject unknown types
-        raise ProofError(f"unknown resolution tag {tag}")
-    reader.finish()
-    if mark < len(data):
-        sink.raw(data[mark:])
-
-
-def _walk_multiproof(proof: BmtMultiProof, sink) -> None:
-    for tag, hashes, bf in proof.nodes():
-        sink.raw(_TAG_BYTES[tag])
-        for node_hash in hashes:
-            sink.fixed_blob(node_hash)
-        if bf is not None:
-            sink.fixed_blob(bf)
-
-
-def _walk_segment(segment: SegmentProof, sink) -> None:
-    sink.varint(segment.anchor)
-    sink.varint(segment.start)
-    sink.varint(segment.end)
-    _walk_multiproof(segment.multiproof, sink)
-    sink.varint(len(segment.resolutions))
-    for height in sorted(segment.resolutions):
-        sink.varint(height)
-        _walk_resolution(segment.resolutions[height], sink)
-
-
-def _walk_batch(batch: BatchQueryResult, config: SystemConfig, sink) -> None:
-    sink.varint(len(batch.addresses))
-    for address in batch.addresses:
-        sink.var_blob(address.encode("utf-8"))
-    sink.varint(batch.tip_height)
-    sink.varint(batch.first_height)
-    sink.varint(batch.last_height)
-    if config.uses_bmt:
-        assert batch.per_address_segments is not None
-        for segments in batch.per_address_segments:
-            sink.varint(len(segments))
-            for segment in segments:
-                _walk_segment(segment, sink)
-        return
-    assert batch.per_address_answers is not None
-    if config.ships_block_filters:
-        if batch.shared_filters is None or len(batch.shared_filters) != (
-            batch.num_blocks
-        ):
-            raise ProofError("batch must ship one filter per block")
-        for bf in batch.shared_filters:
-            sink.fixed_blob(bf.to_bytes())
-    for answers in batch.per_address_answers:
-        for resolution in answers:
-            if resolution is None:
-                sink.raw(bytes([_ANSWER_EMPTY]))
-            else:
-                _walk_resolution(resolution, sink)
-
-
-def encode_aggregated_batch(
-    batch: BatchQueryResult, config: SystemConfig
-) -> bytes:
-    """Serialize ``batch`` with cross-fragment blob deduplication."""
-    if config.kind is not batch.kind:
-        raise ProofError(
-            f"batch built for {batch.kind.value} aggregated with a "
-            f"{config.kind.value} config"
-        )
-    tokens = _Tokens()
-    _walk_batch(batch, config, tokens)
-    counts: Dict[bytes, int] = {}
-    for kind, data in tokens.items:
-        if kind != _RAW and len(data) >= _MIN_SHARED_LEN:
-            counts[data] = counts.get(data, 0) + 1
-    table: Dict[bytes, int] = {}
-    for data, occurrences in counts.items():
-        if occurrences >= 2:
-            table[data] = len(table)
-    if len(table) > _MAX_TABLE:  # pragma: no cover - needs a absurd batch
-        raise EncodingError(f"blob table overflows: {len(table)} entries")
-    parts = [write_varint(len(table))]
-    parts.extend(write_var_bytes(data) for data in table)
-    for kind, data in tokens.items:
-        if kind == _RAW:
-            parts.append(data)
-            continue
-        index = table.get(data)
-        if index is not None:
-            parts.append(write_varint(index + 1))
-        elif kind == _FIXED:
-            parts.append(b"\x00")
-            parts.append(data)
-        else:
-            parts.append(b"\x00")
-            parts.append(write_var_bytes(data))
-    return b"".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# decoder
-
-
-def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
-    """The plain :meth:`BatchQueryResult.serialize` image of an
-    aggregated batch: every slot's marker dropped or reference replaced
-    by its table blob, every other byte copied as it came.
-
-    The walk reads only what locates the slots — counts, tags, flags —
-    and leaves every other check to the plain decoder that reads the
-    image.  A dangling reference, a wrong-length blob, an unknown tag or
-    flag, truncation, trailing bytes, or an image larger than a plain
-    frame raises :class:`EncodingError` here.
-    """
-    from repro.node.transport import DEFAULT_MAX_FRAME_BYTES
-
-    data = payload
     bf_bytes = config.bf_bytes
     # Each table entry as a fixed slot's bytes and as a var slot's
     # var_bytes image.
@@ -283,7 +105,8 @@ def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
     framed: List[bytes] = []
     table_len = 0
     out: List[bytes] = []
-    pos = mark = 0  # ``mark``: first body byte not yet in ``out``
+    keys: List[bytes] = []
+    pos = mark = 0  # ``mark``: first byte not yet in ``out``
 
     def varint() -> int:
         nonlocal pos
@@ -299,7 +122,24 @@ def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
         pos += 1
         return data[pos - 1]
 
-    def slot(length: int) -> None:
+    def plain_slot(length: int) -> None:
+        """One blob slot: ``length`` bytes, or var_bytes when 0."""
+        nonlocal pos, mark
+        out.append(data[mark:pos])
+        if length:
+            mark = pos + length
+            blob = data[pos:mark]
+            out.append(blob)
+        else:
+            start = pos
+            length = varint()
+            mark = pos + length
+            blob = data[pos:mark]
+            out.append(data[start:mark])
+        keys.append(blob)
+        pos = mark
+
+    def table_slot(length: int) -> None:
         """One blob slot: ``length`` bytes, or var_bytes when 0."""
         nonlocal pos, mark
         out.append(data[mark:pos])
@@ -330,6 +170,8 @@ def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
                 f"{length} are required"
             )
         out.append(blob)
+
+    slot = table_slot if aggregated else plain_slot
 
     def hashes() -> None:
         for _ in range(varint()):
@@ -388,17 +230,18 @@ def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
             slot(bf_bytes)
 
     try:
-        table_len = varint()
-        if table_len > _MAX_TABLE:
-            raise EncodingError(f"implausible blob table length {table_len}")
-        for _ in range(table_len):
-            start = pos
-            size = varint()
-            end = pos + size
-            blobs.append(data[pos:end])
-            framed.append(data[start:end])
-            pos = end
-        mark = pos
+        if aggregated:
+            table_len = varint()
+            if table_len > _MAX_TABLE:
+                raise EncodingError(f"implausible blob table length {table_len}")
+            for _ in range(table_len):
+                start = pos
+                size = varint()
+                end = pos + size
+                blobs.append(data[pos:end])
+                framed.append(data[start:end])
+                pos = end
+            mark = pos
         addresses = varint()
         for _ in range(addresses):
             slot(0)
@@ -431,6 +274,57 @@ def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
     if pos < len(data):
         raise EncodingError(f"{len(data) - pos} trailing bytes after decode")
     out.append(data[mark:])
+    return out, keys
+
+
+# ---------------------------------------------------------------------------
+# encoder and decoder
+
+
+def encode_aggregated_batch(
+    batch: BatchQueryResult, config: SystemConfig
+) -> bytes:
+    """Serialize ``batch`` with cross-fragment blob deduplication."""
+    if config.kind is not batch.kind:
+        raise ProofError(
+            f"batch built for {batch.kind.value} aggregated with a "
+            f"{config.kind.value} config"
+        )
+    out, keys = _walk(batch.serialize(config), config, aggregated=False)
+    counts: Dict[bytes, int] = {}
+    for blob in keys:
+        if len(blob) >= _MIN_SHARED_LEN:
+            counts[blob] = counts.get(blob, 0) + 1
+    table: Dict[bytes, int] = {}
+    for blob, occurrences in counts.items():
+        if occurrences >= 2:
+            table[blob] = len(table)
+    if len(table) > _MAX_TABLE:  # pragma: no cover - needs a absurd batch
+        raise EncodingError(f"blob table overflows: {len(table)} entries")
+    parts = [write_varint(len(table))]
+    parts.extend(write_var_bytes(blob) for blob in table)
+    for raw, image, blob in zip(out[::2], out[1::2], keys):
+        parts.append(raw)
+        index = table.get(blob)
+        if index is None:
+            parts += (b"\x00", image)
+        else:
+            parts.append(write_varint(index + 1))
+    parts.append(out[-1])
+    return b"".join(parts)
+
+
+def expand_aggregated_batch(payload: bytes, config: SystemConfig) -> bytes:
+    """The plain :meth:`BatchQueryResult.serialize` image of an
+    aggregated batch: every slot's marker dropped or reference replaced
+    by its table blob, every other byte copied as it came.
+
+    Malformed frames raise :class:`EncodingError` (:func:`_walk`), and
+    so does an image larger than a plain frame may be.
+    """
+    from repro.node.transport import DEFAULT_MAX_FRAME_BYTES
+
+    out, _keys = _walk(payload, config, aggregated=True)
     if sum(map(len, out)) > DEFAULT_MAX_FRAME_BYTES:
         raise EncodingError(
             f"aggregated batch expands past the {DEFAULT_MAX_FRAME_BYTES}"
@@ -465,25 +359,4 @@ def batch_of_result(result: QueryResult) -> BatchQueryResult:
     This is how per-query tooling (``SizeBreakdown``, the CLI) reports
     aggregated wire sizes without a separate single-result encoder.
     """
-    if result.segments is not None:
-        return BatchQueryResult(
-            result.kind,
-            [result.address],
-            result.tip_height,
-            result.first_height,
-            result.last_height,
-            per_address_segments=[result.segments],
-        )
-    assert result.blocks is not None
-    filters = None
-    if result.blocks and result.blocks[0].bf is not None:
-        filters = [answer.bf for answer in result.blocks]
-    return BatchQueryResult(
-        result.kind,
-        [result.address],
-        result.tip_height,
-        result.first_height,
-        result.last_height,
-        shared_filters=filters,
-        per_address_answers=[[answer.resolution for answer in result.blocks]],
-    )
+    return batch_of_results([result])

@@ -1,24 +1,33 @@
 """Batch queries: one verifiable answer for several addresses.
 
-On the hash-committed non-BMT systems (strawman, LVQ-no-BMT) the
-dominant cost is shipping every block's filter; a batch ships each
-filter **once** and shares it across all queried addresses, so the
+A batch is a view of N single-address answers over one range and one
+tip, and has no proof logic of its own.  The prover answers each
+address with :func:`~repro.query.prover.answer_query` under one read
+lock and joins the answers with :func:`batch_of_results`; the verifier
+checks each address with the single-address checks of
+:mod:`repro.query.verifier`.
+
+What the view changes is the wire shape.  On the hash-committed non-BMT
+systems (strawman, LVQ-no-BMT) the dominant cost is shipping every
+block's filter; the N answers carry the same filters, so a batch ships
+each filter **once** and shares it across all queried addresses, and the
 marginal cost of an extra address is just its resolutions.  On BMT
 systems each address needs its own multiproof (its checked bit positions
 differ), so a batch is the concatenation of per-address segment proofs —
 still one message, no filter sharing to exploit.
 
-Verification amortizes the same way: each shared filter is matched
-against its header commitment once, then every address's Eq-4 logic runs
-against the already-authenticated filter.
+Verification amortizes the same way: each shared filter is
+authenticated against its header once, by the single verifier's filter
+authenticator, then every address's Eq-4 check (evidence exactly where
+the filter check fails) runs against the authenticated filters.  On BMT
+systems each address's segments go through ``verify_result``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bloom.filter import BloomFilter, PositionCache
-from repro.chain.address import address_item
+from repro.bloom.filter import BloomFilter
 from repro.chain.block import BlockHeader
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
 from repro.errors import (
@@ -29,7 +38,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.query.builder import BuiltSystem
-from repro.query.config import SystemConfig, bf_commitment
+from repro.query.config import SystemConfig
 from repro.query.fragments import (
     _ANSWER_EMPTY,
     SegmentProof,
@@ -37,11 +46,12 @@ from repro.query.fragments import (
     _serialize_resolution,
 )
 from repro.query.memo import VerifierMemo
-from repro.query.prover import _resolve_block, answer_query
+from repro.query.prover import answer_query
 from repro.query.result import QueryResult
 from repro.query.verifier import (
     VerifiedHistory,
-    _verify_resolution,
+    _authenticated_filters,
+    _verify_blocks,
     verify_result,
 )
 
@@ -215,6 +225,38 @@ class BatchQueryResult:
         return len(self.serialize(config))
 
 
+def batch_of_results(results: Sequence[QueryResult]) -> BatchQueryResult:
+    """The batch view of single-address answers over one range and tip.
+
+    Per-block answers share one filter list, taken from the first
+    answer: the honest prover's answers all carry the chain's filters.
+    """
+    first = results[0]
+    addresses = [result.address for result in results]
+    span = (first.tip_height, first.first_height, first.last_height)
+    if first.segments is not None:
+        return BatchQueryResult(
+            first.kind,
+            addresses,
+            *span,
+            per_address_segments=[result.segments for result in results],
+        )
+    assert first.blocks is not None
+    filters = None
+    if first.blocks and first.blocks[0].bf is not None:
+        filters = [answer.bf for answer in first.blocks]
+    return BatchQueryResult(
+        first.kind,
+        addresses,
+        *span,
+        shared_filters=filters,
+        per_address_answers=[
+            [answer.resolution for answer in result.blocks]
+            for result in results
+        ],
+    )
+
+
 # ---------------------------------------------------------------------------
 # prover side
 
@@ -225,7 +267,8 @@ def answer_batch_query(
     first_height: int = 1,
     last_height: "int | None" = None,
 ) -> BatchQueryResult:
-    """The honest full node's shared answer for several addresses.
+    """The honest full node's shared answer for several addresses: one
+    :func:`answer_query` per address, viewed as one batch.
 
     Runs under the system's read lock (reentrantly shared with the
     nested per-address ``answer_query`` calls), so the whole batch is
@@ -236,63 +279,12 @@ def answer_batch_query(
     if any(not address for address in addresses):
         raise QueryError("empty address in batch query")
     with system.lock.read():
-        return _answer_batch_locked(system, addresses, first_height, last_height)
-
-
-def _answer_batch_locked(
-    system: BuiltSystem,
-    addresses: Sequence[str],
-    first_height: int,
-    last_height: "int | None",
-) -> "BatchQueryResult":
-    if last_height is None:
-        last_height = system.tip_height
-    config = system.config
-
-    if config.uses_bmt:
-        per_address_segments = []
-        for address in addresses:
-            result = answer_query(system, address, first_height, last_height)
-            assert result.segments is not None
-            per_address_segments.append(result.segments)
-        return BatchQueryResult(
-            config.kind,
-            list(addresses),
-            system.tip_height,
-            first_height,
-            last_height,
-            per_address_segments=per_address_segments,
+        return batch_of_results(
+            [
+                answer_query(system, address, first_height, last_height)
+                for address in addresses
+            ]
         )
-
-    if not 1 <= first_height <= last_height <= system.tip_height:
-        raise QueryError(
-            f"bad query range [{first_height},{last_height}] for tip "
-            f"{system.tip_height}"
-        )
-    shared_filters = [
-        system.filters[height]
-        for height in range(first_height, last_height + 1)
-    ]
-    per_address_answers: List[List[object]] = []
-    for address in addresses:
-        cache = PositionCache(address_item(address))
-        answers: List[object] = []
-        for offset, bf in enumerate(shared_filters):
-            height = first_height + offset
-            if not cache.check_fails(bf):
-                answers.append(None)
-            else:
-                answers.append(_resolve_block(system, height, address))
-        per_address_answers.append(answers)
-    return BatchQueryResult(
-        config.kind,
-        list(addresses),
-        system.tip_height,
-        first_height,
-        last_height,
-        shared_filters=shared_filters if config.ships_block_filters else [],
-        per_address_answers=per_address_answers,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,98 +347,19 @@ def verify_batch_result(
             )
         return histories
 
-    return _verify_shared_filter_batch(batch, headers, config)
-
-
-def _verify_shared_filter_batch(
-    batch: BatchQueryResult,
-    headers: Sequence[BlockHeader],
-    config: SystemConfig,
-) -> Dict[str, VerifiedHistory]:
     assert batch.per_address_answers is not None
     if len(batch.per_address_answers) != len(batch.addresses):
         raise CompletenessError("answer lists do not match addresses")
-    for answers in batch.per_address_answers:
-        if len(answers) != batch.num_blocks:
-            raise CompletenessError(
-                f"expected {batch.num_blocks} per-block answers, got "
-                f"{len(answers)}"
-            )
-
-    # Authenticate every filter once (the amortized step).
-    filters = _authenticated_batch_filters(batch, headers, config)
-
-    histories: Dict[str, VerifiedHistory] = {}
-    for address, answers in zip(batch.addresses, batch.per_address_answers):
-        cache = PositionCache(address_item(address))
-        transactions = []
-        for offset, resolution in enumerate(answers):
-            height = batch.first_height + offset
-            bf = filters[offset]
-            if not cache.check_fails(bf):
-                if resolution is not None:
-                    raise VerificationError(
-                        f"height {height}: filter check succeeds for "
-                        f"{address!r}, yet evidence was supplied"
-                    )
-                continue
-            if resolution is None:
-                raise CompletenessError(
-                    f"height {height}: filter check failed for {address!r} "
-                    "but no evidence was supplied"
-                )
-            transactions.extend(
-                _verify_resolution(
-                    resolution, height, headers[height], config, address
-                )
-            )
-        transactions.sort(key=lambda pair: pair[0])
-        histories[address] = VerifiedHistory(address, transactions, None)
-    return histories
-
-
-def _authenticated_batch_filters(
-    batch: BatchQueryResult,
-    headers: Sequence[BlockHeader],
-    config: SystemConfig,
-) -> List[BloomFilter]:
-    from repro.chain.block import (
-        BloomExtension,
-        BloomHashExtension,
-        BloomHashSmtExtension,
-    )
-    from repro.query.config import SystemKind
-
-    filters: List[BloomFilter] = []
-    for offset in range(batch.num_blocks):
-        height = batch.first_height + offset
-        header = headers[height]
-        if config.kind is SystemKind.STRAWMAN_HEADER_BF:
-            extension = header.extension
-            if not isinstance(extension, BloomExtension):
-                raise VerificationError(
-                    f"height {height}: header lacks the strawman filter"
-                )
-            bloom = extension.bloom
-            bloom.num_hashes = config.num_hashes
-            filters.append(bloom)
-            continue
-        if batch.shared_filters is None or offset >= len(batch.shared_filters):
-            raise CompletenessError(
-                f"height {height}: batch is missing the shared filter"
-            )
-        shipped = batch.shared_filters[offset]
-        extension = header.extension
-        if isinstance(extension, (BloomHashExtension, BloomHashSmtExtension)):
-            committed = extension.bloom_hash
-        else:
-            raise VerificationError(
-                f"height {height}: header carries no filter commitment"
-            )
-        if bf_commitment(shipped) != committed:
-            raise VerificationError(
-                f"height {height}: shared filter does not match the header "
-                "commitment"
-            )
-        filters.append(shipped)
-    return filters
+    first, last = batch.first_height, batch.last_height
+    # Authenticate every shared filter once (the amortized step); a
+    # system whose headers hold the filters ships none.
+    shipped = batch.shared_filters or [None] * batch.num_blocks
+    filters = _authenticated_filters(shipped, first, last, headers, config)
+    return {
+        address: _verify_blocks(
+            address, first, last, filters, answers, headers, config
+        )
+        for address, answers in zip(
+            batch.addresses, batch.per_address_answers
+        )
+    }

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bloom.filter import PositionCache
+from repro.bloom.filter import BloomFilter, PositionCache
 from repro.chain.address import address_item
 from repro.chain.block import (
     Block,
@@ -244,38 +244,77 @@ def _verify_per_block(
     result: QueryResult, headers: Sequence[BlockHeader], config: SystemConfig
 ) -> VerifiedHistory:
     assert result.blocks is not None
-    cache = PositionCache(address_item(result.address))
-    first, last = result.first_height, result.last_height
-    if len(result.blocks) != last - first + 1:
+    first, last, blocks = result.first_height, result.last_height, result.blocks
+    shipped = [answer.bf for answer in blocks]
+    filters = _authenticated_filters(shipped, first, last, headers, config)
+    resolutions = [answer.resolution for answer in blocks]
+    return _verify_blocks(
+        result.address, first, last, filters, resolutions, headers, config
+    )
+
+
+def _per_block(items: Sequence, first: int, last: int):
+    """``(height, item)`` for heights ``first..last``; one item each."""
+    if len(items) != last - first + 1:
         raise CompletenessError(
             f"expected one answer per block (heights {first}..{last}), "
-            f"got {len(result.blocks)}"
+            f"got {len(items)}"
         )
+    return zip(range(first, last + 1), items)
 
+
+def _authenticated_filters(
+    shipped: Sequence,
+    first: int,
+    last: int,
+    headers: Sequence[BlockHeader],
+    config: SystemConfig,
+) -> List[BloomFilter]:
+    """The filters of heights ``first..last``, each authenticated
+    against its header; ``shipped`` holds what the answer ships for each
+    height (``None`` where it ships no filter).  A batch calls this once
+    for all its addresses."""
+    return [
+        _authenticated_filter(bf, headers[height], config, height)
+        for height, bf in _per_block(shipped, first, last)
+    ]
+
+
+def _verify_blocks(
+    address: str,
+    first: int,
+    last: int,
+    filters: Sequence[BloomFilter],
+    resolutions: Sequence,
+    headers: Sequence[BlockHeader],
+    config: SystemConfig,
+) -> VerifiedHistory:
+    """Eq 4 for one address over authenticated ``filters``: evidence
+    exactly where the filter check fails, and each piece verified."""
+    cache = PositionCache(address_item(address))
     transactions: List[Tuple[int, Transaction]] = []
-    for offset, answer in enumerate(result.blocks):
-        height = offset + first
-        header = headers[height]
-        bf = _authenticated_filter(answer.bf, header, config, height)
+    for (height, resolution), bf in zip(
+        _per_block(resolutions, first, last), filters
+    ):
         if not cache.check_fails(bf):
-            if answer.resolution is not None:
+            if resolution is not None:
                 raise VerificationError(
                     f"height {height}: filter check succeeds, yet the "
                     "answer carries block-level evidence"
                 )
             continue
-        if answer.resolution is None:
+        if resolution is None:
             raise CompletenessError(
                 f"height {height}: filter check failed but the full node "
                 "supplied no evidence"
             )
         transactions.extend(
             _verify_resolution(
-                answer.resolution, height, header, config, result.address
+                resolution, height, headers[height], config, address
             )
         )
     transactions.sort(key=lambda pair: pair[0])
-    return VerifiedHistory(result.address, transactions, None)
+    return VerifiedHistory(address, transactions, None)
 
 
 def _authenticated_filter(shipped, header, config: SystemConfig, height: int):

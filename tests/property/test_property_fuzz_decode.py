@@ -70,7 +70,7 @@ from repro.query.batch import (
     verify_batch_result,
 )
 from repro.query.builder import build_system
-from repro.query.config import SystemConfig
+from repro.query.config import SystemConfig, SystemKind
 from repro.query.prover import answer_query
 from repro.query.result import QueryResult
 from repro.query.verifier import verify_result
@@ -433,15 +433,25 @@ VECTORS = pathlib.Path(__file__).resolve().parents[1] / "vectors"
 
 
 def _vector_frames():
-    """Message class name → its committed golden frames."""
-    frames = {}
+    """Message class name → its committed golden frames, and each frame
+    written under another config than ``CONFIG`` → that config."""
+    frames, configs = {}, {}
     for path in sorted(VECTORS.glob("*.json")):
         vector = json.loads(path.read_text())
-        frames.setdefault(vector["message"], []).append(bytes.fromhex(vector["hex"]))
-    return frames
+        frame = bytes.fromhex(vector["hex"])
+        frames.setdefault(vector["message"], []).append(frame)
+        recorded = vector.get("chain", {}).get("config")
+        if recorded is not None:
+            configs[frame] = SystemConfig(
+                SystemKind(recorded["kind"]),
+                recorded["bf_bytes"],
+                recorded["num_hashes"],
+                recorded["segment_len"],
+            )
+    return frames, configs
 
 
-VECTOR_FRAMES = _vector_frames()
+VECTOR_FRAMES, VECTOR_CONFIGS = _vector_frames()
 DECLARED = sorted(
     (
         value
@@ -456,9 +466,9 @@ DECLARED = sorted(
 PROOF_MESSAGES = (QueryResponse, BatchQueryResponse, AggregatedBatchResponse)
 
 
-def decode_message(cls, frame):
+def decode_message(cls, frame, config=CONFIG):
     if cls in PROOF_MESSAGES:
-        return cls.deserialize(frame, CONFIG)
+        return cls.deserialize(frame, config)
     if cls in (HeadersResponse, DeltaHeadersResponse):
         return cls.deserialize(
             frame, CONFIG.header_extension_kind, CONFIG.header_bloom_bytes
@@ -556,10 +566,10 @@ ALLOC_PER_FRAME_BYTE = 10
 ALLOC_FIXED = 4096
 
 
-def peak_decode_bytes(cls, frame):
+def peak_decode_bytes(cls, frame, config=CONFIG):
     tracemalloc.start()
     try:
-        decode_message(cls, frame)
+        decode_message(cls, frame, config)
     except ReproError:
         pass
     finally:
@@ -581,9 +591,10 @@ def test_decode_allocation_is_bounded_by_frame_size(name):
                 for start, _ in field_spans(cls, frame)
                 for delta in INFLATIONS
             ]
+        config = VECTOR_CONFIGS.get(frame, CONFIG)
         for candidate in candidates:
-            decode_message(cls, frame)  # warm any lazy import or cache
-            peak = peak_decode_bytes(cls, candidate)
+            decode_message(cls, frame, config)  # warm any lazy import or cache
+            peak = peak_decode_bytes(cls, candidate, config)
             assert peak <= ALLOC_PER_FRAME_BYTE * len(candidate) + ALLOC_FIXED, (
                 name,
                 len(candidate),

@@ -16,7 +16,14 @@ The proof-carrying vectors, the headers, the plain batch and the push
 update are built from the ``lvq_system`` test fixture (seed 42, 48
 blocks x 10 transactions, 192-byte filters, 16-block segments) and
 record the frame, what produced it, and — for the query answers — the
-``(height, txid)`` list the light node must accept from it.  Every
+``(height, txid)`` list the light node must accept from it.  The four
+other system kinds each get a plain and an aggregated batch vector over
+the same request, built from the ``any_system`` fixture's chain for that
+kind (``_config_for``), whose ``config`` the vector records.  Together
+with the ``lvq`` vectors they hold every slot the aggregated frame's
+walk reads: shared filters, empty answers, existence with and without
+an SMT branch, false-positive refutations, integral bodies and every
+multiproof node tag.  Every
 other message class is built from the literal ``fields`` its vector
 records.  The zlib vector is the aggregated batch vector's frame wrapped
 by ``compress_frame``.
@@ -45,6 +52,7 @@ from repro.node.messages import (  # noqa: E402
     AggregatedBatchRequest,
     AggregatedBatchResponse,
     BatchQueryRequest,
+    BatchQueryResponse,
     DeltaHeadersRequest,
     ErrorResponse,
     HeadersRequest,
@@ -76,6 +84,13 @@ BATCH_PROBES = ("Addr3", "Addr4", "Addr5")
 #: Header vectors start here: nine headers, 40..48, keep them readable.
 HEADERS_FROM = 40
 PUSH_PROBES = ("Addr4", "Addr5", "Addr6")
+#: Kinds with batch vectors of their own, besides LVQ's.
+BATCH_KINDS = (
+    SystemKind.STRAWMAN,
+    SystemKind.STRAWMAN_HEADER_BF,
+    SystemKind.LVQ_NO_BMT,
+    SystemKind.LVQ_NO_SMT,
+)
 
 #: Literal-field vectors: file name → (class, constructor fields).
 FIELD_VECTORS = {
@@ -118,6 +133,53 @@ ERROR_VECTORS = {
 
 def _history(verified):
     return [[height, tx.txid().hex()] for height, tx in verified.transactions]
+
+
+def _config_fields(config):
+    return {
+        "kind": config.kind.value,
+        "bf_bytes": config.bf_bytes,
+        "num_hashes": config.num_hashes,
+        "segment_len": config.segment_len,
+    }
+
+
+def _kind_batch_vectors(workload, addresses):
+    """A plain and an aggregated batch vector for every kind but LVQ."""
+    out = {}
+    for kind in BATCH_KINDS:
+        config = _config_for(kind)
+        system = build_system(workload.bodies, config)
+        headers = system.headers()
+        batch = answer_batch_query(system, addresses, *RANGE)
+        histories = verify_batch_result(batch, headers, config, addresses, RANGE)
+        common = {
+            "chain": {
+                "fixture": "any_system",
+                "config": _config_fields(config),
+                "tip_height": system.tip_height,
+                "tip_block_id": headers[-1].block_id().hex(),
+            },
+            "request": {
+                "addresses": addresses,
+                "first_height": RANGE[0],
+                "last_height": RANGE[1],
+            },
+            "verified": {
+                address: _history(histories[address]) for address in addresses
+            },
+        }
+        name = kind.value.replace("-", "_")
+        for suffix, message_cls in (
+            ("batch_query_response", BatchQueryResponse),
+            ("aggregated_batch_response", AggregatedBatchResponse),
+        ):
+            out[f"{name}_{suffix}"] = {
+                "message": message_cls.__name__,
+                **common,
+                "hex": message_cls(batch).serialize(config).hex(),
+            }
+    return out
 
 
 def _fields(message, names):
@@ -221,6 +283,8 @@ def vectors():
         "request": {"addresses": watched, "height": height},
         "hex": frame.hex(),
     }
+
+    out.update(_kind_batch_vectors(workload, addresses))
 
     for name, (message_cls, fields) in FIELD_VECTORS.items():
         out[name] = {

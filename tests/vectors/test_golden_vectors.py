@@ -11,7 +11,11 @@ bytes (from the fixture, or from the vector's recorded ``fields``),
 that the proofs verify to the recorded history, and — for the BMT
 vector — that flipping any single bit of a multiproof's tags, hashes or
 filters is rejected, identically by a cold verifier and by a light node
-whose replay memo is warm.
+whose replay memo is warm.  The four other system kinds each have a
+plain and an aggregated batch vector over one request: the prover
+writes both, the aggregated frame expands to exactly the plain one,
+both verify to the recorded histories, and together with the ``lvq``
+vectors they reach every slot of the aggregated frame's walk.
 """
 
 import json
@@ -25,8 +29,16 @@ from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.messages import AggregatedBatchResponse, QueryResponse
 from repro.node.transport import compress_frame, decompress_frame
+from repro.query.aggregate import expand_aggregated_batch
 from repro.query.batch import answer_batch_query, verify_batch_result
-from repro.query.fragments import ExistenceResolution, FpmResolution
+from repro.query.builder import build_system
+from repro.query.config import SystemConfig, SystemKind
+from repro.query.fragments import (
+    ExistenceResolution,
+    FpmResolution,
+    IntegralBlockResolution,
+    WireResolution,
+)
 from repro.query.prover import answer_query
 from repro.query.verifier import verify_result
 
@@ -252,10 +264,24 @@ def test_every_message_class_has_a_vector():
 PROOF_MESSAGES = ("QueryResponse", "BatchQueryResponse", "AggregatedBatchResponse")
 
 
+def vector_config(vector, system):
+    """The config a vector was written under: its recorded one, else the
+    ``lvq_system`` fixture's."""
+    fields = vector.get("chain", {}).get("config")
+    if fields is None:
+        return system.config
+    return SystemConfig(
+        SystemKind(fields["kind"]),
+        fields["bf_bytes"],
+        fields["num_hashes"],
+        fields["segment_len"],
+    )
+
+
 def decode(vector, system):
     """The vector's frame decoded by its class, with the context the
     fixture's light node would pass."""
-    config = system.config
+    config = vector_config(vector, system)
     message_cls = getattr(messages, vector["message"])
     frame = bytes.fromhex(vector["hex"])
     if vector["message"] in PROOF_MESSAGES:
@@ -269,7 +295,7 @@ def decode(vector, system):
 
 def encode(vector, message, system):
     if vector["message"] in PROOF_MESSAGES:
-        return message.serialize(system.config)
+        return message.serialize(vector_config(vector, system))
     return message.serialize()
 
 
@@ -344,3 +370,103 @@ def test_push_update_vector_is_the_tip_block_proven(lvq_system):
         ).serialize(lvq_system.config),
     )
     assert update.serialize().hex() == vector["hex"]
+
+
+#: The kinds with batch vectors of their own (``make_vectors.BATCH_KINDS``).
+BATCH_KINDS = ("strawman", "strawman_header_bf", "lvq_no_bmt", "lvq_no_smt")
+
+
+@pytest.fixture(scope="module", params=BATCH_KINDS)
+def kind_vectors(request, workload):
+    """``(system, plain vector, aggregated vector)`` of one kind, the
+    system built from the chain the vectors were written from."""
+    plain = load(f"{request.param}_batch_query_response")
+    aggregated = load(f"{request.param}_aggregated_batch_response")
+    system = build_system(workload.bodies, vector_config(plain, None))
+    trusted_headers(system, plain)
+    return system, plain, aggregated
+
+
+class TestKindBatchVectors:
+    def test_prover_writes_both_vectors(self, kind_vectors):
+        system, plain, aggregated = kind_vectors
+        node = FullNode(system)
+        for vector, request_cls in (
+            (plain, messages.BatchQueryRequest),
+            (aggregated, messages.AggregatedBatchRequest),
+        ):
+            request = request_cls(
+                vector["request"]["addresses"], *request_range(vector)
+            )
+            frame = node.handle_batch_query(request.serialize())
+            assert frame.hex() == vector["hex"]
+
+    def test_aggregated_expands_to_the_plain_frame(self, kind_vectors):
+        system, plain, aggregated = kind_vectors
+        body = bytes.fromhex(aggregated["hex"])[1:]
+        expanded = expand_aggregated_batch(body, system.config)
+        assert expanded == bytes.fromhex(plain["hex"])[1:]
+
+    def test_both_verify_to_the_recorded_histories(self, kind_vectors):
+        system, plain, aggregated = kind_vectors
+        addresses = plain["request"]["addresses"]
+        assert aggregated["verified"] == plain["verified"]
+        for vector in (plain, aggregated):
+            batch = decode(vector, system).batch
+            histories = verify_batch_result(
+                batch,
+                system.headers(),
+                system.config,
+                addresses,
+                request_range(vector),
+            )
+            assert {
+                address: history(histories[address]) for address in addresses
+            } == vector["verified"]
+
+
+def walk_features(batch):
+    """Which slots of the aggregated walk a decoded batch reaches."""
+    features = set()
+    if batch.per_address_segments is not None:
+        answers = []
+        for segments in batch.per_address_segments:
+            for segment in segments:
+                features.update(
+                    f"tag {tag}" for tag, _h, _bf in segment.multiproof.nodes()
+                )
+                answers.extend(segment.resolutions.values())
+    else:
+        if batch.shared_filters:
+            features.add("shared filters")
+        answers = [a for block in batch.per_address_answers for a in block]
+    for answer in answers:
+        resolution = answer
+        if isinstance(answer, WireResolution):
+            resolution = answer.decoded()
+        if resolution is None:
+            features.add("empty")
+        elif isinstance(resolution, ExistenceResolution):
+            with_smt = resolution.smt_branch is not None
+            features.add("existence with SMT" if with_smt else "existence")
+        elif isinstance(resolution, FpmResolution):
+            features.add("fpm")
+        elif isinstance(resolution, IntegralBlockResolution):
+            features.add("integral")
+    return features
+
+
+def test_batch_vectors_reach_every_slot_of_the_walk(lvq_system):
+    features = set()
+    for name in VECTOR_NAMES:
+        vector = load(name)
+        if vector["message"] in ("BatchQueryResponse", "AggregatedBatchResponse"):
+            features |= walk_features(decode(vector, lvq_system).batch)
+    assert features == {
+        "shared filters",
+        "empty",
+        "existence with SMT",
+        "existence",
+        "fpm",
+        "integral",
+    } | {f"tag {tag}" for tag in range(6)}
