@@ -1,11 +1,14 @@
 """The light node: headers only, trusts nothing it did not verify (§II).
 
 A :class:`LightNode` holds the header list and the chain's
-:class:`SystemConfig`.  Its ``query_history`` issues the RPC through the
-byte-counting transport, deserializes the response, runs the full §V
-verification, and only then exposes transactions and Equation-1 balances.
-A malicious full node makes ``query_history`` raise — it can never make
+:class:`SystemConfig`.  Each request — header sync, reorg sync, a query,
+a batch — is one round trip through :meth:`LightNode._exchange` over the
+byte-counting transport; the node then decodes the answer and runs the
+full §V verification before it exposes transactions or Equation-1
+balances.  A malicious full node makes a query raise — it can never make
 it return a wrong history (that is the security claim the tests attack).
+A light node talks to one full node per call: failover, retries and bans
+across peers belong to :class:`~repro.node.session.QuerySession`.
 
 Every answer it verifies goes through one :class:`VerifierMemo`, so the
 node hashes a BMT node once however many answers pass through it, and
@@ -15,54 +18,49 @@ same evidence comes back.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.blockchain import header_storage_bytes
 from repro.errors import (
     ChainError,
-    NoHonestPeerError,
-    ReproError,
+    QueryError,
     StaleChainError,
     VerificationError,
 )
 from repro.node.full_node import FullNode
-from repro.node.messages import QueryRequest, QueryResponse
-from repro.node.transport import InProcessTransport, TransportStats
+from repro.node.messages import (
+    AggregatedBatchRequest,
+    AggregatedBatchResponse,
+    BatchQueryRequest,
+    BatchQueryResponse,
+    DeltaHeadersRequest,
+    DeltaHeadersResponse,
+    HeadersRequest,
+    HeadersResponse,
+    QueryRequest,
+    QueryResponse,
+)
+from repro.node.transport import InProcessTransport
+from repro.query.batch import verify_batch_result
 from repro.query.config import SystemConfig
 from repro.query.memo import VerifierMemo
 from repro.query.verifier import VerifiedHistory, verify_result
 
 
-class MultiPeerReport:
-    """Outcome accounting for one :meth:`LightNode.query_history_any` call.
-
-    ``winner`` is the label of the peer whose answer verified (``None``
-    when all failed), ``stats`` maps every queried peer's label to the
-    :class:`TransportStats` its attempt accumulated, and ``reasons``
-    records why each losing peer was rejected.
-    """
-
-    __slots__ = ("winner", "stats", "reasons")
-
-    def __init__(self) -> None:
-        self.winner: "Optional[str]" = None
-        self.stats: "dict[str, TransportStats]" = {}
-        self.reasons: "dict[str, Exception]" = {}
-
-    def total_stats(self) -> TransportStats:
-        """Bytes across *all* peers — what the client's link really paid."""
-        total = TransportStats()
-        for stats in self.stats.values():
-            total.merge(stats)
-        return total
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiPeerReport(winner={self.winner!r}, "
-            f"tried={sorted(self.stats)}, "
-            f"total={self.total_stats().total_bytes}B)"
-        )
+def _check_linkage(
+    previous: BlockHeader, headers: Sequence[BlockHeader], first_height: int
+) -> None:
+    """Raise unless each of ``headers`` (the first at ``first_height``)
+    links onto the one before it, the first onto ``previous``."""
+    previous_id = previous.block_id()
+    for height, header in enumerate(headers, start=first_height):
+        if header.prev_hash != previous_id:
+            raise VerificationError(
+                f"header at height {height} does not link onto the chain "
+                "below it"
+            )
+        previous_id = header.block_id()
 
 
 class LightNode:
@@ -73,8 +71,6 @@ class LightNode:
     ) -> None:
         self.headers: List[BlockHeader] = list(headers)
         self.config = config
-        #: Set by :meth:`query_history_any`: winner + per-peer stats.
-        self.last_query_report: "Optional[MultiPeerReport]" = None
         #: BMT hash work and accepted resolutions shared by every answer
         #: this node verifies.
         self.memo = VerifierMemo()
@@ -110,6 +106,22 @@ class LightNode:
         self.memo.forget_resolutions()
         return removed
 
+    @staticmethod
+    def _exchange(
+        handler: Callable[[bytes], bytes],
+        request,
+        transport: "Optional[InProcessTransport]",
+    ) -> bytes:
+        """One round trip: ``request``'s frame out through
+        ``transport.send_to_server``, ``handler``'s answer back through
+        ``transport.send_to_client`` (any object with those two methods;
+        ``None`` is a fresh :class:`InProcessTransport`)."""
+        if transport is None:
+            transport = InProcessTransport()
+        return transport.send_to_client(
+            handler(transport.send_to_server(request.serialize()))
+        )
+
     # -- header sync ---------------------------------------------------------
 
     def sync_headers(
@@ -130,26 +142,13 @@ class LightNode:
         the local chain — a full node cannot splice in a divergent
         history during sync.
         """
-        from repro.node.messages import (
-            DeltaHeadersRequest,
-            DeltaHeadersResponse,
-            HeadersRequest,
-            HeadersResponse,
-        )
-
         request_cls = DeltaHeadersRequest if delta else HeadersRequest
         response_cls = DeltaHeadersResponse if delta else HeadersResponse
-        if transport is None:
-            transport = InProcessTransport()
         from_height = self.tip_height + 1
-        request_bytes = transport.send_to_server(
-            request_cls(from_height).serialize()
-        )
-        response_bytes = transport.send_to_client(
-            full_node.handle_headers(request_bytes)
-        )
         response = response_cls.deserialize(
-            response_bytes,
+            self._exchange(
+                full_node.handle_headers, request_cls(from_height), transport
+            ),
             self.config.header_extension_kind,
             self.config.header_bloom_bytes,
         )
@@ -158,14 +157,7 @@ class LightNode:
                 f"asked for headers from {from_height}, got "
                 f"{response.from_height}"
             )
-        previous_id = self.headers[-1].block_id()
-        for offset, header in enumerate(response.headers):
-            if header.prev_hash != previous_id:
-                raise VerificationError(
-                    f"header at height {from_height + offset} does not "
-                    "link onto the local chain"
-                )
-            previous_id = header.block_id()
+        _check_linkage(self.headers[-1], response.headers, from_height)
         self.headers.extend(response.headers)
         return len(response.headers)
 
@@ -186,22 +178,17 @@ class LightNode:
         covered.  Raises :class:`VerificationError` (or a subclass) if
         the full node's answer is incorrect or incomplete in any way.
         """
-        if transport is None:
-            transport = InProcessTransport()
-        request_bytes = transport.send_to_server(
-            QueryRequest(address, first_height, last_height or 0).serialize()
-        )
-        response_bytes = transport.send_to_client(
-            full_node.handle_query(request_bytes)
-        )
         response = QueryResponse.deserialize(
-            response_bytes, self.config, memo=self.memo
+            self._exchange(
+                full_node.handle_query,
+                QueryRequest(address, first_height, last_height or 0),
+                transport,
+            ),
+            self.config,
+            memo=self.memo,
         )
-        expected_range = (
-            first_height,
-            last_height if last_height is not None else self.tip_height,
-        )
-        return self.verify(response.result, address, expected_range)
+        last = self.tip_height if last_height is None else last_height
+        return self.verify(response.result, address, (first_height, last))
 
     def verify(
         self,
@@ -235,9 +222,6 @@ class LightNode:
         :class:`StaleChainError` (a benign subclass — lagging, not
         lying; no replacement without more work).
         """
-        from repro.errors import QueryError
-        from repro.node.messages import HeadersRequest, HeadersResponse
-
         try:
             return 0, self.sync_headers(full_node, transport)
         except (VerificationError, QueryError):
@@ -245,34 +229,21 @@ class LightNode:
             # (it may be on a shorter fork): fall through to comparison.
             pass
 
-        if transport is None:
-            transport = InProcessTransport()
-        request_bytes = transport.send_to_server(
-            HeadersRequest(0).serialize()
-        )
-        response_bytes = transport.send_to_client(
-            full_node.handle_headers(request_bytes)
-        )
-        response = HeadersResponse.deserialize(
-            response_bytes,
+        remote = HeadersResponse.deserialize(
+            self._exchange(
+                full_node.handle_headers, HeadersRequest(0), transport
+            ),
             self.config.header_extension_kind,
             self.config.header_bloom_bytes,
-        )
-        remote = response.headers
+        ).headers
         if len(remote) <= len(self.headers):
             raise StaleChainError(
                 "peer's divergent chain is not longer than ours; refusing "
                 "the reorg"
             )
-        if not remote or remote[0].block_id() != self.headers[0].block_id():
+        if remote[0].block_id() != self.headers[0].block_id():
             raise VerificationError("peer chain has a different genesis")
-        previous_id = remote[0].block_id()
-        for height, header in enumerate(remote[1:], start=1):
-            if header.prev_hash != previous_id:
-                raise VerificationError(
-                    f"peer chain breaks linkage at height {height}"
-                )
-            previous_id = header.block_id()
+        _check_linkage(remote[0], remote[1:], 1)
 
         fork_height = 0
         limit = min(len(remote), len(self.headers))
@@ -289,71 +260,6 @@ class LightNode:
         # match again; drop them rather than let them hold the bound.
         self.memo.forget_resolutions()
         return replaced, appended
-
-    def query_history_any(
-        self,
-        full_nodes: "Sequence[FullNode]",
-        address: str,
-        first_height: int = 1,
-        last_height: Optional[int] = None,
-        transports: "Optional[Sequence[InProcessTransport]]" = None,
-        labels: "Optional[Sequence[str]]" = None,
-    ) -> VerifiedHistory:
-        """Query several peers; accept the first verifiable answer.
-
-        The security model makes this sound with a single honest peer
-        among arbitrarily many malicious ones: an answer either verifies
-        (and is then the unique complete history — two verifiable answers
-        cannot disagree) or is rejected.  Raises
-        :class:`NoHonestPeerError` carrying every peer's rejection reason
-        when *all* answers fail.
-
-        ``transports`` optionally supplies one transport per peer (e.g.
-        fault-injecting wrappers), and ``labels`` names the peers in
-        reports and error reasons (default ``peer0..N``).  After every
-        call — success or failure — :attr:`last_query_report` holds a
-        :class:`MultiPeerReport` with the winning peer's label and the
-        per-peer byte accounting, so multi-peer experiments no longer
-        lose the losers' traffic.
-        """
-        if not full_nodes:
-            raise VerificationError("no peers to query")
-        if transports is not None and len(transports) != len(full_nodes):
-            raise VerificationError(
-                f"{len(transports)} transports for {len(full_nodes)} peers"
-            )
-        if labels is not None:
-            if len(labels) != len(full_nodes):
-                raise VerificationError(
-                    f"{len(labels)} labels for {len(full_nodes)} peers"
-                )
-            if len(set(labels)) != len(labels):
-                raise VerificationError("peer labels must be distinct")
-        report = MultiPeerReport()
-        self.last_query_report = report
-        for index, full_node in enumerate(full_nodes):
-            label = labels[index] if labels is not None else f"peer{index}"
-            transport = (
-                transports[index]
-                if transports is not None
-                else InProcessTransport()
-            )
-            try:
-                history = self.query_history(
-                    full_node,
-                    address,
-                    transport=transport,
-                    first_height=first_height,
-                    last_height=last_height,
-                )
-            except ReproError as error:
-                report.reasons[label] = error
-                report.stats[label] = transport.stats
-            else:
-                report.winner = label
-                report.stats[label] = transport.stats
-                return history
-        raise NoHonestPeerError(report.reasons)
 
     def query_batch(
         self,
@@ -373,41 +279,27 @@ class LightNode:
         plain image before decoding.  Either way the batch is decoded
         and verified through this node's memo.
         """
-        from repro.node.messages import (
-            AggregatedBatchRequest,
-            AggregatedBatchResponse,
-            BatchQueryRequest,
-            BatchQueryResponse,
-        )
-        from repro.query.batch import verify_batch_result
-
-        request_cls = AggregatedBatchRequest if aggregated else BatchQueryRequest
-        response_cls = (
-            AggregatedBatchResponse if aggregated else BatchQueryResponse
-        )
-        if transport is None:
-            transport = InProcessTransport()
-        request_bytes = transport.send_to_server(
-            request_cls(
-                list(addresses), first_height, last_height or 0
-            ).serialize()
-        )
-        response_bytes = transport.send_to_client(
-            full_node.handle_batch_query(request_bytes)
+        request_cls, response_cls = (
+            (AggregatedBatchRequest, AggregatedBatchResponse)
+            if aggregated
+            else (BatchQueryRequest, BatchQueryResponse)
         )
         response = response_cls.deserialize(
-            response_bytes, self.config, memo=self.memo
+            self._exchange(
+                full_node.handle_batch_query,
+                request_cls(list(addresses), first_height, last_height or 0),
+                transport,
+            ),
+            self.config,
+            memo=self.memo,
         )
-        expected_range = (
-            first_height,
-            last_height if last_height is not None else self.tip_height,
-        )
+        last = self.tip_height if last_height is None else last_height
         return verify_batch_result(
             response.batch,
             self.headers,
             self.config,
             list(addresses),
-            expected_range,
+            (first_height, last),
             memo=self.memo,
         )
 
@@ -427,4 +319,4 @@ class LightNode:
         )
 
 
-__all__ = ["LightNode", "MultiPeerReport", "VerificationError"]
+__all__ = ["LightNode", "VerificationError"]

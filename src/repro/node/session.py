@@ -1,41 +1,47 @@
-"""A resilient multi-peer query session for the light node.
+"""The light client's one multi-peer driver: a resilient query session.
 
-``LightNode.query_history_any`` is one-shot: it walks the peer list once
-and gives up.  Production light clients (vChain's, Dietcoin's, and the
-ROADMAP's millions-of-users north star) face peers that flap, links that
-drop, and adversaries mixed in with the honest majority — and must keep
-the paper's §V guarantee intact: a fault can *deny* an answer (typed
+A :class:`~repro.node.light_node.LightNode` talks to one full node per
+call.  :class:`QuerySession` is the loop around it that LVQ's security
+argument assumes (§II, §V): send the request, verify the answer against
+the local headers, and move to another peer when it fails — one honest
+peer among many suffices.  ``retry=RetryPolicy.no_retries()`` is a single
+sweep over the peer list; the default retries through peers that flap,
+links that drop, and adversaries mixed in with the honest majority,
+keeping the §V guarantee intact: a fault can *deny* an answer (typed
 error) but never *deceive* (wrong history).
 
-:class:`QuerySession` adds the operating envelope on top of the existing
-verification machinery, entirely client-local (no wire change):
+The session is entirely client-local (no wire change) and adds:
 
 * per-request timeouts on a :class:`~repro.node.transport.SimulatedClock`;
 * bounded retries with exponential backoff + seeded jitter;
-* peer health scoring and quarantine — a *verification* failure (the
-  peer produced decodable bytes whose proof is wrong: malice, since an
-  honest peer's answer always verifies) is a **permanent ban**, while a
-  *transport/decode* failure (crash, drop, corruption: consistent with
-  an honest peer behind a bad link) is a **decaying penalty**;
+* one attempt classifier, :meth:`QuerySession._attempt`: a
+  *verification* failure (the peer produced decodable bytes whose proof
+  is wrong: malice, since an honest peer's answer always verifies) is a
+  **permanent ban**; a *transport/decode* failure (crash, drop,
+  corruption: consistent with an honest peer behind a bad link) is a
+  **decaying penalty**; a backpressure frame is a flat hold-off; a
+  :class:`StaleChainError` (a lagging peer) costs nothing;
 * failover that re-uses partial progress (header sync keeps whatever
   prefix already validated; the next peer continues from the new tip);
+* per-peer byte accounting that keeps the traffic of rejected peers
+  (``stats.peers[label].transport``) and names the winner
+  (``last_winner``);
 * optional graceful degradation: :meth:`QuerySession.query_partial`
   bisects the requested range over the surviving peers and returns a
   :class:`PartialHistory` covering the verified sub-ranges with an
   explicit ``uncovered_ranges`` report;
 * reorg awareness: :meth:`QuerySession.sync_with_reorg` follows the
-  longest fork across the peer set — a peer whose divergent chain is
-  *not* longer raises the benign :class:`StaleChainError` (lagging, not
-  lying → no ban) — and, with ``track_queries=True``, automatically
-  re-queries every previously answered request whose range the reorg
-  replaced, since those verified histories were proven against headers
-  that are no longer the canonical chain.
+  longest fork across the peer set through the same retry loop as a
+  query and, with ``track_queries=True``, re-queries every previously
+  answered request whose range the reorg replaced, since those verified
+  histories were proven against headers that are no longer canonical.
 
 The *streaming* counterpart lives in :mod:`repro.node.subscribe`:
 :class:`~repro.node.subscribe.SubscriptionSession` applies the same
 deny-but-never-deceive discipline (and this module's
-:class:`RetryPolicy` backoff) to server-pushed watch updates, where the
-re-query-on-reorg semantics above become pushed retraction frames.
+:class:`RetryPolicy`, rounds and backoff) to server-pushed watch
+updates, where the re-query-on-reorg semantics above become pushed
+retraction frames.
 """
 
 from __future__ import annotations
@@ -85,13 +91,15 @@ class RetryPolicy:
     """Exponential backoff with jitter, in seconds (simulated ones in a
     session, wall-clock ones in a pool or a subscription).
 
-    ``max_rounds`` bounds how many times the session sweeps the peer
-    list; the sleep before round *r* is
+    ``max_rounds`` is the one retry bound: how many times a session
+    sweeps the peer list, or how many connects (the first included) a
+    :class:`~repro.node.subscribe.SubscriptionSession` makes.  The sleep
+    before round *r* is
     ``min(base * multiplier**(r-1), max_delay) * (1 + jitter*U[-1,1])``,
     with the exponent clamped as :func:`_exponential` says.  A
-    :class:`~repro.node.netclient.ConnectionPool` and a
-    :class:`~repro.node.subscribe.SubscriptionSession` pace their
-    reconnects with the same formula.
+    :class:`~repro.node.netclient.ConnectionPool` paces its reconnects
+    with the same formula and never gives up (the session above it
+    bounds the retries), so it reads no ``max_rounds``.
     """
 
     __slots__ = ("max_rounds", "base_delay", "multiplier", "max_delay", "jitter")
@@ -520,6 +528,11 @@ class QuerySession:
         self.stats.attempts += 1
         try:
             outcome = run(peer, transport)
+        except StaleChainError:
+            # Lagging, not lying (only a reorg sync raises it): the
+            # attempt counts, with no penalty and no ban.
+            peer.stats.attempts += 1
+            raise
         except VerificationError as error:
             peer.record_verification_failure(error)
             raise
@@ -638,7 +651,7 @@ class QuerySession:
             self.stats.failures += 1
             raise
         self.stats.successes += 1
-        self.last_winner = self._last_success_label()
+        self.last_winner = self._last_served
         if self.track_queries:
             self._tracked[(address, first_height, last_height)] = None
         return history
@@ -708,7 +721,7 @@ class QuerySession:
         )
         if result.is_complete:
             self.stats.successes += 1
-            self.last_winner = self._last_success_label()
+            self.last_winner = self._last_served
         else:
             self.stats.partials += 1
         return result
@@ -759,15 +772,14 @@ class QuerySession:
     def sync_with_reorg(self) -> Tuple[int, int]:
         """Reorg-aware header sync across the peer set.
 
-        Sweeps the available peers (health order) and adopts the first
+        Runs the same retry loop as :meth:`query` and adopts the first
         chain that extends or verifiably out-lengthens ours; returns
-        ``(replaced, appended)`` from the winning peer.  Failure
-        classification differs from plain queries in one deliberate way:
-        :class:`StaleChainError` — the peer's divergent fork is not
-        longer — is *benign* (an honest peer can simply be lagging), so
-        the peer is neither banned nor quarantined; any other
-        verification failure (broken linkage, foreign genesis) is malice
-        and bans the peer as usual.
+        ``(replaced, appended)`` from the winning peer.  The attempt
+        classifier treats :class:`StaleChainError` — the peer's divergent
+        fork is not longer — as *benign* (an honest peer can simply be
+        lagging): no ban, no quarantine.  Any other verification failure
+        (broken linkage, foreign genesis) is malice and bans the peer,
+        so a peer set of liars ends in :class:`NoHonestPeerError`.
 
         When the adopted fork replaced headers and the session was built
         with ``track_queries=True``, every remembered query whose range
@@ -775,59 +787,17 @@ class QuerySession:
         answer was verified against headers that no longer exist.  The
         fresh histories land in ``self.last_reorg["requeried"]``.
         """
-        started_at = self.clock.now()
-        reasons: Dict[str, List[Exception]] = {}
-        attempts_before = self.stats.attempts
-        for round_index in range(self.retry.max_rounds):
-            if round_index > 0:
-                pause = self.retry.backoff_seconds(round_index, self._rng)
-                self.stats.backoff_seconds += pause
-                self.stats.retries += 1
-                self.clock.sleep(pause)
-            for peer in self._ranked_available():
-                self._check_session_deadline(started_at)
-                transport = peer.make_transport()
-                if self.request_timeout is not None and hasattr(
-                    transport, "arm_timeout"
-                ):
-                    transport.arm_timeout(self.request_timeout)
-                self.stats.attempts += 1
-                old_tip = self.light_node.tip_height
-                try:
-                    replaced, appended = self.light_node.sync_with_reorg(
-                        peer.node, transport
-                    )
-                except StaleChainError as error:
-                    # Lagging, not lying: no score penalty, try the next.
-                    peer.stats.attempts += 1
-                    reasons.setdefault(peer.label, []).append(error)
-                except VerificationError as error:
-                    peer.record_verification_failure(error)
-                    reasons.setdefault(peer.label, []).append(error)
-                except BackpressureError as error:
-                    # Busy, not malicious: flat hold-off, never a ladder.
-                    peer.record_overload(error, self.clock.now())
-                    reasons.setdefault(peer.label, []).append(error)
-                except (TransportError, EncodingError, QueryError) as error:
-                    peer.record_transport_failure(
-                        error, self.clock.now(), self.quarantine_base
-                    )
-                    reasons.setdefault(peer.label, []).append(error)
-                else:
-                    peer.record_success()
-                    self._last_served = peer.label
-                    if replaced:
-                        self._after_reorg(
-                            old_tip - replaced, replaced, appended, old_tip
-                        )
-                    return replaced, appended
-                finally:
-                    peer.stats.transport.merge(transport.stats)
-        raise RetryExhaustedError(
-            "reorg-aware header sync",
-            self.stats.attempts - attempts_before,
-            reasons,
+        old_tip = self.light_node.tip_height
+
+        def run(peer: Peer, transport) -> Tuple[int, int]:
+            return self.light_node.sync_with_reorg(peer.node, transport)
+
+        replaced, appended = self._run_with_retries(
+            run, "reorg-aware header sync"
         )
+        if replaced:
+            self._after_reorg(old_tip - replaced, replaced, appended, old_tip)
+        return replaced, appended
 
     def _after_reorg(
         self, fork_height: int, replaced: int, appended: int, old_tip: int
@@ -847,9 +817,6 @@ class QuerySession:
                 effective_last = last if last is not None else old_tip
                 if effective_last > fork_height:
                     requeried[address] = self.query(address, first, last)
-
-    def _last_success_label(self) -> Optional[str]:
-        return self._last_served
 
     def __repr__(self) -> str:
         return (

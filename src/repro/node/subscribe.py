@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import queue
 import random
+import sys
 import threading
 import time
 import weakref
@@ -546,7 +547,6 @@ class SubscriptionSession:
         request_timeout: float = 10.0,
         connect_timeout: float = 5.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        max_reconnects: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         seed: int = 0,
     ) -> None:
@@ -561,9 +561,11 @@ class SubscriptionSession:
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
         self.max_frame_bytes = max_frame_bytes
-        self.max_reconnects = max_reconnects
+        #: Paces reconnects and bounds them: the first connect is round
+        #: one, so at most ``max_rounds - 1`` reconnects follow it.  The
+        #: default never gives up.
         self.retry_policy = retry_policy or RetryPolicy(
-            max_rounds=3, base_delay=0.05, max_delay=1.0, jitter=0.25
+            max_rounds=sys.maxsize, base_delay=0.05, max_delay=1.0, jitter=0.25
         )
         self.stats = WatchStats()
         self.subscription_id: Optional[int] = None
@@ -719,7 +721,7 @@ class SubscriptionSession:
             self._backoff(failures)
 
     def _retry_allowed(self, reconnects: int) -> bool:
-        return self.max_reconnects is None or reconnects < self.max_reconnects
+        return reconnects + 1 < self.retry_policy.max_rounds
 
     def _backoff(self, failures: int) -> None:
         self._stop.wait(self.retry_policy.backoff_seconds(failures, self._rng))
@@ -975,7 +977,7 @@ class SubscriptionSession:
                 self._wait_backpressure(error)  # shed: wait, then retry
                 last_error = error
                 continue
-            except (CompletenessError, StaleChainError) as error:
+            except CompletenessError as error:
                 last_error = error  # tip raced the query: sync and retry
                 continue
             except VerificationError as error:

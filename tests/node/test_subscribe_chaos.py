@@ -307,8 +307,7 @@ def test_byzantine_server_cannot_surface_wrong_updates(loop_thread):
         watched,
         keepalive=0.3,
         request_timeout=2.0,
-        max_reconnects=3,
-        retry_policy=RetryPolicy(max_rounds=5, base_delay=0.02, max_delay=0.1),
+        retry_policy=RetryPolicy(max_rounds=4, base_delay=0.02, max_delay=0.1),
     )
     events = []
     session.start()

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.errors import ReproError, StaleChainError, VerificationError
+from repro.errors import (
+    NoHonestPeerError,
+    ReproError,
+    StaleChainError,
+    VerificationError,
+)
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.messages import QueryResponse
-from repro.node.session import PartialHistory, QuerySession
+from repro.node.session import Peer, PartialHistory, QuerySession
+from repro.node.transport import InProcessTransport
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.workload.generator import WorkloadParams, generate_workload
@@ -258,6 +264,40 @@ class TestSessionReorg:
         session.peers[1].score = 0.5
         session.sync_with_reorg()
         assert session.peers[0].banned
+
+    def test_all_lying_peers_end_in_no_honest_peer(self, forked):
+        """Liars are banned in the first sweep; no backoff round can
+        help, so the session stops with the malice verdict."""
+        main, alt = forked
+        light = LightNode.from_full_node(_node(main.bodies))
+        foreign = [alt.bodies[0] + [alt.bodies[1][0]]] + alt.bodies[1:]
+        session = QuerySession(
+            light, [("liar0", _node(foreign)), ("liar1", _node(foreign))]
+        )
+        with pytest.raises(NoHonestPeerError) as excinfo:
+            session.sync_with_reorg()
+        assert set(excinfo.value.reasons) == {"liar0", "liar1"}
+        assert session.stats.retries == 0
+
+    def test_quarantined_peer_is_waited_out(self, forked):
+        """A peer whose link failed once is quarantined for 10 s; the
+        session waits for its release on the clock, as ``query`` does,
+        instead of spending its rounds while the peer is held out."""
+        main, _alt = forked
+        node = _node(main.bodies)
+        light = LightNode(node.system.headers()[:8], CONFIG)
+        links = [InProcessTransport(byte_budget=10)]  # dies on the request
+
+        def link():
+            return links.pop() if links else InProcessTransport()
+
+        session = QuerySession(
+            light, [Peer("n0", node, link)], quarantine_base=10.0
+        )
+        assert session.sync_with_reorg() == (0, 7)
+        assert session.clock.now() > 10.0
+        assert session.peers[0].stats.transport_failures == 1
+        assert light.tip_height == node.tip_height
 
     def test_plain_extension_still_works(self, forked):
         main, _alt = forked
